@@ -14,10 +14,10 @@ TTC comparisons isolate the model, not the engine.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import TYPE_CHECKING
-
-import networkx as nx
 
 from repro.core.drivers.base import PatternDriver, SubmitRequest
 from repro.core.drivers.registry import register_driver
@@ -79,13 +79,14 @@ class DAGWorkflow(ExecutionPattern):
         """Dependency edges the user had to declare explicitly."""
         return sum(len(task.depends_on) for task in self._tasks.values())
 
-    def graph(self) -> "nx.DiGraph":
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._tasks)
+    def successors(self) -> dict[str, list[str]]:
+        """Task name -> the tasks that depend on it, in declaration order
+        (a dependency listed twice is one edge)."""
+        successors: dict[str, list[str]] = {name: [] for name in self._tasks}
         for task in self._tasks.values():
-            for dependency in task.depends_on:
-                graph.add_edge(dependency, task.name)
-        return graph
+            for dependency in dict.fromkeys(task.depends_on):
+                successors[dependency].append(task.name)
+        return successors
 
     def validate(self) -> None:
         super().validate()
@@ -98,9 +99,15 @@ class DAGWorkflow(ExecutionPattern):
                         f"task {task.name!r} depends on unknown task "
                         f"{dependency!r}"
                     )
-        if not nx.is_directed_acyclic_graph(self.graph()):
-            cycle = nx.find_cycle(self.graph())
-            raise PatternError(f"workflow graph has a cycle: {cycle}")
+        sorter = TopologicalSorter(
+            {task.name: task.depends_on for task in self._tasks.values()}
+        )
+        try:
+            sorter.prepare()
+        except CycleError as exc:
+            nodes = exc.args[1]
+            cycle = list(zip(nodes, nodes[1:]))
+            raise PatternError(f"workflow graph has a cycle: {cycle}") from None
 
     # -- used by the driver ----------------------------------------------------------
 
@@ -122,16 +129,17 @@ class DAGWorkflowDriver(PatternDriver):
 
     def __init__(self, pattern, handle) -> None:
         super().__init__(pattern, handle)
-        self._graph = None
+        self._successors: dict[str, list[str]] = {}
         self._remaining_deps: dict[str, int] = {}
         self._task_uid: dict[str, str] = {}
         self._pending_count = 0
 
     def start(self) -> None:
         pattern = self.pattern
-        self._graph = pattern.graph()
+        self._successors = pattern.successors()
         self._remaining_deps = {
-            name: self._graph.in_degree(name) for name in pattern.task_names()
+            name: len(set(pattern.get_task(name).depends_on))
+            for name in pattern.task_names()
         }
         self._pending_count = pattern.task_count
         roots = [name for name, deps in self._remaining_deps.items() if deps == 0]
@@ -171,7 +179,7 @@ class DAGWorkflowDriver(PatternDriver):
             self._pending_count -= 1
             if unit.state is not UnitState.DONE:
                 # Prune the descendant cone: those tasks will never run.
-                descendants = nx.descendants(self._graph, name)
+                descendants = self._descendants(name)
                 not_submitted = [
                     d for d in descendants if d not in self._task_uid
                 ]
@@ -180,7 +188,7 @@ class DAGWorkflowDriver(PatternDriver):
                 self._pending_count -= len(not_submitted)
                 return
             ready = []
-            for successor in self._graph.successors(name):
+            for successor in self._successors[name]:
                 if self._remaining_deps[successor] < 0:
                     continue
                 self._remaining_deps[successor] -= 1
@@ -188,6 +196,17 @@ class DAGWorkflowDriver(PatternDriver):
                     ready.append(successor)
         if unit.state is UnitState.DONE and ready:
             self._submit_tasks(ready)
+
+    def _descendants(self, name: str) -> set[str]:
+        """Every task reachable from *name* along dependency edges."""
+        seen: set[str] = set()
+        queue = deque(self._successors[name])
+        while queue:
+            task = queue.popleft()
+            if task not in seen:
+                seen.add(task)
+                queue.extend(self._successors[task])
+        return seen
 
     @property
     def done(self) -> bool:

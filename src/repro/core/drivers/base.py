@@ -16,6 +16,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.execution_pattern import ExecutionPattern
     from repro.core.kernel_plugin import Kernel
     from repro.core.resource_handle import ResourceHandle
+    from repro.pilot.description import ComputeUnitDescription
     from repro.pilot.unit import ComputeUnit
 
 __all__ = ["PatternDriver", "SubmitRequest"]
@@ -142,6 +143,10 @@ class PatternDriver(abc.ABC):
             prof.event(
                 "entk_stage_create_start", self.pattern.uid, n=len(requests)
             )
+            resource, platform = self.handle.resource, self.handle.platform
+            # Kernels of one shape bind once per batch; the rest copy the
+            # first description (Kernel.bind_key lists what a shape is).
+            bound: dict[tuple, ComputeUnitDescription] = {}
             descriptions = []
             for request in requests:
                 kernel = request.kernel
@@ -153,7 +158,12 @@ class PatternDriver(abc.ABC):
                     self._resolve(entry, request.placeholders)
                     for entry in kernel.copy_input_data
                 ]
-                description = kernel.bind(self.handle.resource, self.handle.platform)
+                key = kernel.bind_key(resource)
+                template = bound.get(key)
+                if template is None:
+                    description = bound[key] = kernel.bind(resource, platform)
+                else:
+                    description = template.copy(tags=dict(kernel.tags))
                 description.tags.update(request.tags)
                 description.tags.setdefault("pattern", self.pattern.uid)
                 descriptions.append(description)
@@ -271,14 +281,7 @@ class PatternDriver(abc.ABC):
             if not policy.should_retry(used + 1):
                 return False
             self._retries[root] = used + 1
-        import dataclasses
-
-        description = dataclasses.replace(
-            unit.description,
-            arguments=list(unit.description.arguments),
-            environment=dict(unit.description.environment),
-            input_staging=list(unit.description.input_staging),
-            output_staging=list(unit.description.output_staging),
+        description = unit.description.copy(
             tags={**unit.description.tags, "__retry_root": root,
                   "__retry_attempt": used + 1},
         )
@@ -312,8 +315,7 @@ class PatternDriver(abc.ABC):
     # -- unit events --------------------------------------------------------------------
 
     def _unit_event(self, unit: "ComputeUnit", state: UnitState) -> None:
-        if not state.is_final:
-            return
+        """The unit manager calls this once per unit, on its final state."""
         if state is UnitState.FAILED and self._try_retry(unit):
             return  # the retry unit carries the pattern forward
         if state in (UnitState.FAILED, UnitState.CANCELED):

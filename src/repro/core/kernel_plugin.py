@@ -134,6 +134,19 @@ class Kernel:
         description.validate()
         return description
 
+    def bind_key(self, resource: str) -> tuple:
+        """Every input of :meth:`bind` but the platform, as a hashable key.
+
+        Two kernels with equal keys bind to equal descriptions on
+        *resource*, up to :attr:`tags`, which the key leaves out.
+        """
+        return (
+            type(self._plugin), self.name, tuple(self.arguments), self.cores,
+            self.uses_mpi, tuple(self.link_input_data),
+            tuple(self.copy_input_data), tuple(self.copy_output_data),
+            self.data_size, tuple(self.environment.items()), resource,
+        )
+
     def _iter_args(self):
         for arg in self.arguments:
             if arg.startswith("--") and "=" in arg:
@@ -155,6 +168,13 @@ class KernelPlugin:
     and :meth:`duration` (cost model) and may override
     :attr:`machine_configs` for per-resource tweaks.  ``"*"`` is the
     fallback configuration.
+
+    One plugin instance may serve many units: pattern drivers bind each
+    kernel shape once per submitted batch, and every unit of that shape
+    calls the instance of the kernel that was bound.  A plugin must
+    therefore keep no per-unit state on ``self``; everything a unit needs
+    arrives in the ``ctx`` of :meth:`execute` or the arguments of
+    :meth:`duration`.
     """
 
     name: str = ""

@@ -98,6 +98,29 @@ class ComputeUnitDescription:
         if self.modelled_duration < 0:
             raise BadParameter("modelled_duration must be non-negative")
 
+    def copy(self, tags: dict[str, Any]) -> "ComputeUnitDescription":
+        """A copy with *tags* that shares no list or dict with this one.
+
+        The frozen staging directives and the ``payload`` /
+        ``duration_model`` callables are shared.
+        """
+        # Spelled out rather than dataclasses.replace, which costs twice
+        # as much; pattern drivers call this once per unit.
+        return ComputeUnitDescription(
+            executable=self.executable,
+            arguments=list(self.arguments),
+            environment=dict(self.environment),
+            cores=self.cores,
+            mpi=self.mpi,
+            name=self.name,
+            payload=self.payload,
+            modelled_duration=self.modelled_duration,
+            duration_model=self.duration_model,
+            input_staging=list(self.input_staging),
+            output_staging=list(self.output_staging),
+            tags=tags,
+        )
+
     def modelled_runtime(self, platform: Any) -> float:
         """Modelled execution seconds on *platform* (sim mode only)."""
         if self.duration_model is not None:

@@ -37,7 +37,6 @@ class UnitManager:
         self._rr_next = 0
         self._lock = threading.RLock()
         self._all_done = threading.Condition(self._lock)
-        self._callbacks: list[Callable[[ComputeUnit, UnitState], Any]] = []
 
     # -- pilots ---------------------------------------------------------------
 
@@ -51,10 +50,6 @@ class UnitManager:
 
     # -- units -----------------------------------------------------------------
 
-    def register_callback(self, callback: Callable[[ComputeUnit, UnitState], Any]) -> None:
-        """``callback(unit, state)`` on every unit state transition."""
-        self._callbacks.append(callback)
-
     def submit_units(
         self,
         descriptions: list[ComputeUnitDescription] | ComputeUnitDescription,
@@ -63,9 +58,12 @@ class UnitManager:
     ) -> list[ComputeUnit]:
         """Create units, schedule them onto pilots, forward to agents.
 
-        *callback* is attached to every created unit *before* it can make
-        any progress, so callers (e.g. pattern drivers) cannot miss a
-        transition even for tasks that finish instantly.
+        ``callback(unit, state)`` fires once per created unit, on its
+        final transition (DONE, FAILED or CANCELED) only.  It is attached
+        before the unit can make any progress, so callers (e.g. pattern
+        drivers) cannot miss the final state even of tasks that finish
+        instantly.  A per-unit :meth:`ComputeUnit.add_callback` sees
+        every transition.
 
         Forwarding is *bulk*: all units bound to one pilot travel in one
         message, paying one network delay (RADICAL-Pilot bulk submission).
@@ -77,21 +75,19 @@ class UnitManager:
         if getattr(self.session, "bulk_lifecycle", False):
             return self._submit_units_bulk(descriptions, callback, extra_delay)
 
+        store = self.session.unit_store
         units: list[ComputeUnit] = []
         routing: dict[str, tuple[ComputePilot, list[ComputeUnit]]] = {}
         with self.session.tracer.span(
             "umgr.submit", self.uid, n=len(descriptions)
         ):
+            group = store.callback_group(callback)
             for description in descriptions:
-                unit = ComputeUnit(description, self.session)
+                unit = ComputeUnit._of(store, store.add(description, group))
                 self.session.prof.event(
                     "unit_new", unit.uid,
                     pattern=description.tags.get("pattern", ""),
                 )
-                if callback is not None:
-                    unit.add_callback(callback)
-                for cb in self._callbacks:
-                    unit.add_callback(cb)
                 unit.advance(UnitState.UMGR_SCHEDULING)
                 pilot = self._pick_pilot(description)
                 routing.setdefault(pilot.uid, (pilot, []))[1].append(unit)
@@ -112,7 +108,7 @@ class UnitManager:
         """Batched submission (``Session(bulk_lifecycle=True)``).
 
         One columnar registration, one ``units_new`` event, one shared
-        callback list and one ``units_state`` transition cover the whole
+        callback group and one ``units_state`` transition cover the whole
         batch; routing and forwarding are unchanged.  The trace is
         deliberately coarser than the per-unit path's — this is the
         million-unit envelope, not the published-figure path.
@@ -121,13 +117,8 @@ class UnitManager:
         with self.session.tracer.span(
             "umgr.submit", self.uid, n=len(descriptions)
         ):
-            rows = store.add_bulk(descriptions)
+            rows = store.add_bulk(descriptions, store.callback_group(callback))
             units = [ComputeUnit._of(store, i) for i in rows]
-            shared: list[Callable[[ComputeUnit, UnitState], Any]] = []
-            if callback is not None:
-                shared.append(callback)
-            shared.extend(self._callbacks)
-            store.set_group_callbacks(rows, shared)
             if units:
                 self.session.prof.event(
                     "units_new", units[0].uid, n=len(units),

@@ -122,7 +122,7 @@ class UnitStore:
         self._cores = array("i")
         self._attempts = array("i")
         self._pilot = array("i")  # index into _pilot_uids; -1 = unassigned
-        self._cb_group = array("i")  # index into _shared_cbs; -1 = none
+        self._cb_group = array("i")  # index into _group_cbs; -1 = none
         self._slots_off = array("q")  # offset into the slot arena
         self._slots_len = array("i")
         #: state value -> per-unit entry time column (NaN = never entered).
@@ -136,8 +136,8 @@ class UnitStore:
         self._descriptions: list["ComputeUnitDescription"] = []
         self._pilot_uids: list[str] = []
         self._pilot_index: dict[str, int] = {}
-        #: Callback lists shared by a whole bulk-submitted batch.
-        self._shared_cbs: list[list[Callable]] = []
+        #: Final-state callbacks, each shared by a whole submitted batch.
+        self._group_cbs: list[Callable] = []
 
         # Sparse side tables (unit index -> value); only units that
         # actually fail / stage / block pay for an entry.
@@ -153,15 +153,23 @@ class UnitStore:
 
     # -- registration -------------------------------------------------------
 
-    def _append_row(self, description: "ComputeUnitDescription",
-                    serial: int, now: float) -> int:
+    def add(self, description: "ComputeUnitDescription",
+            group: int = -1) -> int:
+        """Register one unit (the classic per-unit path); returns its row.
+
+        *group* is a final-state callback group from
+        :meth:`callback_group` (``-1``: none).
+        """
+        description.validate()
+        serial = reserve_id_block("unit", 1)
+        now = self._session.now()
         i = len(self._serial)
         self._serial.append(serial)
         self._state.append(_STATE_INDEX[UnitState.NEW])
         self._cores.append(description.cores)
         self._attempts.append(0)
         self._pilot.append(-1)
-        self._cb_group.append(-1)
+        self._cb_group.append(group)
         self._slots_off.append(0)
         self._slots_len.append(0)
         for state in _STATES:
@@ -169,32 +177,38 @@ class UnitStore:
                 now if state is UnitState.NEW else nan
             )
         self._descriptions.append(description)
-        return i
-
-    def add(self, description: "ComputeUnitDescription") -> int:
-        """Register one unit (the classic per-unit path); returns its row."""
-        description.validate()
-        serial = reserve_id_block("unit", 1)
-        i = self._append_row(description, serial, self._session.now())
         if self._metrics is not None:
             self._metrics.adjust("units.NEW", 1)
         return i
 
-    def add_bulk(self, descriptions: Iterable["ComputeUnitDescription"]) -> range:
-        """Register a batch: one id-block reservation, one metrics update."""
+    def add_bulk(self, descriptions: Iterable["ComputeUnitDescription"],
+                 group: int = -1) -> range:
+        """Register a batch: one id-block reservation, one extension of
+        each column, one metrics update.  *group* is as for :meth:`add`."""
         descriptions = list(descriptions)
         for description in descriptions:
             description.validate()
-        if not descriptions:
-            return range(len(self._serial), len(self._serial))
-        serial = reserve_id_block("unit", len(descriptions))
-        now = self._session.now()
+        n = len(descriptions)
         first = len(self._serial)
-        for offset, description in enumerate(descriptions):
-            self._append_row(description, serial + offset, now)
+        if not n:
+            return range(first, first)
+        serial = reserve_id_block("unit", n)
+        self._serial.extend(range(serial, serial + n))
+        self._state.extend(array("b", [_STATE_INDEX[UnitState.NEW]]) * n)
+        self._cores.extend([d.cores for d in descriptions])
+        self._attempts.extend(array("i", [0]) * n)
+        self._pilot.extend(array("i", [-1]) * n)
+        self._cb_group.extend(array("i", [group]) * n)
+        self._slots_off.extend(array("q", [0]) * n)
+        self._slots_len.extend(array("i", [0]) * n)
+        now = self._session.now()
+        for state in _STATES:
+            fill = now if state is UnitState.NEW else nan
+            self._ts[state.value].extend(array("d", [fill]) * n)
+        self._descriptions.extend(descriptions)
         if self._metrics is not None:
-            self._metrics.adjust("units.NEW", len(descriptions))
-        return range(first, first + len(descriptions))
+            self._metrics.adjust("units.NEW", n)
+        return range(first, first + n)
 
     # -- dense fields -------------------------------------------------------
 
@@ -283,16 +297,19 @@ class UnitStore:
 
     # -- callbacks ----------------------------------------------------------
 
-    def set_group_callbacks(self, rows: range, callbacks: list[Callable]) -> None:
-        """Attach one shared callback list to every unit in *rows*."""
-        if not callbacks:
-            return
-        group = len(self._shared_cbs)
-        self._shared_cbs.append(callbacks)
-        for i in rows:
-            self._cb_group[i] = group
+    def callback_group(self, callback: Callable | None) -> int:
+        """Register *callback* to be shared by many units; returns the
+        group to pass to :meth:`add` / :meth:`add_bulk` (``-1`` for
+        ``None``).  A group callback fires once per unit, on its final
+        transition only."""
+        if callback is None:
+            return -1
+        with self._lock:
+            self._group_cbs.append(callback)
+            return len(self._group_cbs) - 1
 
     def add_callback(self, i: int, callback: Callable) -> None:
+        """Attach a per-unit callback that fires on every transition."""
         self._extra_cbs.setdefault(i, []).append(callback)
 
     def remove_callback(self, i: int, callback: Callable) -> None:
@@ -303,13 +320,14 @@ class UnitStore:
                 if not extras:
                     del self._extra_cbs[i]
 
-    def callbacks(self, i: int) -> list[Callable]:
-        group = self._cb_group[i]
-        shared = self._shared_cbs[group] if group >= 0 else ()
-        extras = self._extra_cbs.get(i)
-        if extras is None:
-            return list(shared)
-        return [*shared, *extras]
+    def _callbacks(self, i: int, target: UnitState) -> list[Callable]:
+        """What a transition of row *i* into *target* calls, in order: the
+        group callback (final states only), then the per-unit ones."""
+        group = self._cb_group[i] if target.is_final else -1
+        extras = self._extra_cbs.get(i, ())
+        if group < 0:
+            return list(extras)
+        return [self._group_cbs[group], *extras]
 
     def final_event(self, i: int, *, create: bool = False) -> threading.Event | None:
         event = self._final_events.get(i)
@@ -330,7 +348,7 @@ class UnitStore:
             validate_unit_edge(f"ComputeUnit {self.uid(i)}", previous, target)
             self._state[i] = _STATE_INDEX[target]
             self._ts[target.value][i] = session.now()
-            callbacks = self.callbacks(i)
+            callbacks = self._callbacks(i, target)
         session.prof.event("unit_state", self.uid(i), state=target.value)
         metrics = self._metrics
         if metrics is not None:
@@ -347,8 +365,9 @@ class UnitStore:
     def advance_many(self, units: list["ComputeUnit"], target: UnitState) -> None:
         """Bulk transition: one ``units_state`` event and one gauge
         update pair per homogeneous (same current state) group instead
-        of per unit.  Callbacks still fire per unit — pattern drivers
-        track per-unit progress through them."""
+        of per unit.  Callbacks still fire per unit, in the order
+        :meth:`advance` fires them; a non-final wave with no per-unit
+        callbacks calls nothing."""
         if not units:
             return
         session = self._session
@@ -375,10 +394,10 @@ class UnitStore:
             if metrics is not None:
                 metrics.adjust(_STATE_GAUGES[previous], -len(group))
                 metrics.adjust(_STATE_GAUGES[target], len(group))
-            for unit in group:
-                callbacks = self.callbacks(unit._i)
-                for cb in callbacks:
-                    cb(unit, target)
+            if target.is_final or self._extra_cbs:
+                for unit in group:
+                    for cb in self._callbacks(unit._i, target):
+                        cb(unit, target)
             if target.is_final:
                 for unit in group:
                     event = self._final_events.get(unit._i)

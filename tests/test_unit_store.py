@@ -124,21 +124,53 @@ class TestUnitStore:
         first.append(99)
         assert unit.slots == [1, 2]
 
-    def test_callbacks_shared_plus_extra_order(self, session):
+    @pytest.mark.parametrize("bulk", [False, True], ids=["classic", "bulk"])
+    def test_group_callback_sees_final_state_extras_see_every_state(
+        self, session, bulk
+    ):
         store = session.unit_store
-        rows = store.add_bulk([_desc(), _desc()])
         calls = []
-        store.set_group_callbacks(
-            rows, [lambda u, s: calls.append(("shared", u.uid, s))]
+        group = store.callback_group(
+            lambda u, s: calls.append(("group", u.uid, s))
         )
+        if bulk:
+            rows = store.add_bulk([_desc(), _desc()], group)
+        else:
+            rows = [store.add(_desc(), group) for _ in range(2)]
         units = [ComputeUnit._of(store, i) for i in rows]
         units[0].add_callback(lambda u, s: calls.append(("extra", u.uid, s)))
-        store.advance_many(units, UnitState.UMGR_SCHEDULING)
+
+        def advance(target):
+            if bulk:
+                store.advance_many(units, target)
+            else:
+                for unit in units:
+                    unit.advance(target)
+
+        advance(UnitState.UMGR_SCHEDULING)
+        advance(UnitState.CANCELED)
         assert calls == [
-            ("shared", "unit.000000", UnitState.UMGR_SCHEDULING),
             ("extra", "unit.000000", UnitState.UMGR_SCHEDULING),
-            ("shared", "unit.000001", UnitState.UMGR_SCHEDULING),
+            ("group", "unit.000000", UnitState.CANCELED),
+            ("extra", "unit.000000", UnitState.CANCELED),
+            ("group", "unit.000001", UnitState.CANCELED),
         ]
+
+    def test_submit_callback_fires_once_per_unit_on_final_state(self):
+        reset_id_counters()
+        handle = ResourceHandle("xsede.comet", cores=32, walltime=60,
+                                mode="sim")
+        handle.allocate()
+        try:
+            seen = []
+            units = handle.umgr.submit_units(
+                [_desc() for _ in range(3)],
+                callback=lambda u, s: seen.append((u.uid, s)),
+            )
+            handle.umgr.wait_units(units)
+        finally:
+            handle.deallocate()
+        assert seen == [(u.uid, UnitState.DONE) for u in units]
 
     def test_advance_many_emits_one_batch_event_per_group(self, session):
         store = session.unit_store
