@@ -8,17 +8,23 @@ single-threaded discrete-event simulation.
 
 Queue policies (the paper's agent inherits RADICAL-Pilot's):
 
-* ``backfill`` (default) — scan the whole wait queue, start everything that
+* ``backfill`` (default) — start, in queue order, every waiting unit that
   fits.  Maximizes utilization; this is what produces the paper's linear
   weak/strong scaling.
 * ``fifo`` — strict order: if the head does not fit, nothing starts.  Kept
   for the scheduler ablation benchmark.
+
+The wait queue is bucketed by core count, so a pass only tries requests
+that can still fit; see :meth:`Agent._schedule_waiting`.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, insort
 from collections import deque
+from heapq import heapify, heappop, heapreplace
+from math import inf
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.cluster.faults import NODE_FAULT_STREAM, NodeFaultProcess
@@ -71,19 +77,17 @@ class Agent:
             slot_strategy, pilot.cores, self._cores_per_node
         )
         self._lock = threading.RLock()
-        self._waiting: deque["ComputeUnit"] = deque()
-        #: Uids of waiting units (O(1) membership for cancel_unit).
-        self._waiting_uids: set[str] = set()
-        #: Core-count multiset of waiting units; ``_min_waiting`` caches its
-        #: minimum so a wake-up that cannot place anything returns in O(1)
-        #: (see ``_schedule_waiting``'s short-circuit).
-        self._waiting_sizes: dict[int, int] = {}
-        self._min_waiting: int | None = None
-        #: Uids of waiting units carrying a node-exclusion list for this
-        #: pilot.  While non-empty every wake-up must run the full scan:
-        #: such units can fail *terminally* during it (emitting events), so
-        #: the event-silent short-circuit would change traces.
-        self._waiting_excluded: set[str] = set()
+        #: The wait queue, in arrival order by sequence number.  Units that
+        #: avoid no node of this pilot wait in per-core-count FIFO buckets
+        #: of ``(seq, unit)``; ``_bucket_keys`` lists the non-empty
+        #: buckets' core counts in ascending order.  Units whose exclusion
+        #: list hits this pilot wait in the ``_lane`` as ``(seq, unit,
+        #: avoided nodes)``: only they can fail terminally mid-pass.
+        self._buckets: dict[int, deque[tuple[int, "ComputeUnit"]]] = {}
+        self._bucket_keys: list[int] = []
+        self._lane: list[tuple[int, "ComputeUnit", frozenset[int]]] = []
+        self._seq = 0
+        self._nwaiting = 0
         self._executing: dict[str, "ComputeUnit"] = {}
         self._cancelled: set[str] = set()
         self._started = False
@@ -124,43 +128,55 @@ class Agent:
     # -- waiting-queue bookkeeping -------------------------------------------------
 
     def _waiting_add(self, unit: "ComputeUnit") -> None:
-        """Track *unit* entering the wait queue (caller holds the lock)."""
-        self._waiting.append(unit)
-        self._waiting_uids.add(unit.uid)
+        """Append *unit* to the wait queue (caller holds the lock)."""
+        self._seq += 1
+        self._nwaiting += 1
+        avoid = self._avoid_for(unit)
+        if avoid:
+            self._lane.append((self._seq, unit, avoid))
+            return
         size = unit.description.cores
-        self._waiting_sizes[size] = self._waiting_sizes.get(size, 0) + 1
-        if self._min_waiting is None or size < self._min_waiting:
-            self._min_waiting = size
-        if unit.excluded_nodes:
-            self._waiting_excluded.add(unit.uid)
+        bucket = self._buckets.get(size)
+        if bucket is None:
+            bucket = self._buckets[size] = deque()
+            insort(self._bucket_keys, size)
+        bucket.append((self._seq, unit))
 
-    def _waiting_forget(self, unit: "ComputeUnit") -> None:
-        """Untrack *unit* leaving the wait queue (caller holds the lock).
+    def _bucket_drop(self, size: int) -> None:
+        """Forget the emptied bucket of *size* (caller holds the lock)."""
+        del self._buckets[size]
+        del self._bucket_keys[bisect_left(self._bucket_keys, size)]
 
-        The caller removes the unit from the deque itself (pop or
-        ``remove``); this maintains the uid set and the size multiset.
-        """
-        self._waiting_uids.discard(unit.uid)
-        self._waiting_excluded.discard(unit.uid)
+    def _waiting_remove(self, unit: "ComputeUnit") -> bool:
+        """Take *unit* out of the wait queue if it is there."""
         size = unit.description.cores
-        count = self._waiting_sizes.get(size, 0) - 1
-        if count > 0:
-            self._waiting_sizes[size] = count
-        else:
-            self._waiting_sizes.pop(size, None)
-            if size == self._min_waiting:
-                self._min_waiting = (
-                    min(self._waiting_sizes) if self._waiting_sizes else None
-                )
+        in_lane = bool(self._avoid_for(unit))
+        queue = self._lane if in_lane else self._buckets.get(size, ())
+        for i, entry in enumerate(queue):
+            if entry[1].uid == unit.uid:
+                del queue[i]
+                if not (in_lane or queue):
+                    self._bucket_drop(size)
+                self._nwaiting -= 1
+                return True
+        return False
+
+    def _queue_order(self) -> list["ComputeUnit"]:
+        """The waiting units in queue (arrival) order."""
+        entries = [
+            entry for bucket in self._buckets.values() for entry in bucket
+        ]
+        entries.extend(entry[:2] for entry in self._lane)
+        entries.sort(key=lambda entry: entry[0])
+        return [unit for _, unit in entries]
 
     def _waiting_clear(self) -> list["ComputeUnit"]:
-        """Drop the whole wait queue (caller holds the lock)."""
-        waiting = list(self._waiting)
-        self._waiting.clear()
-        self._waiting_uids.clear()
-        self._waiting_sizes.clear()
-        self._waiting_excluded.clear()
-        self._min_waiting = None
+        """Drop the whole wait queue, returned in queue order."""
+        waiting = self._queue_order()
+        self._buckets.clear()
+        self._bucket_keys.clear()
+        self._lane.clear()
+        self._nwaiting = 0
         return waiting
 
     def stop(self) -> None:
@@ -315,12 +331,7 @@ class Agent:
         """Cancel a unit; waiting units are dequeued, running ones flagged."""
         with self._lock:
             self._cancelled.add(unit.uid)
-            if unit.uid in self._waiting_uids:
-                self._waiting.remove(unit)
-                self._waiting_forget(unit)
-                to_cancel = True
-            else:
-                to_cancel = False
+            to_cancel = self._waiting_remove(unit)
         if to_cancel:
             unit.advance(UnitState.CANCELED)
             self._notify_final(unit)
@@ -351,7 +362,7 @@ class Agent:
             self._schedule_waiting()
         if self._metrics is not None and self._started:
             self._metrics.gauge(
-                f"agent.{self.pilot.uid}.queue_depth", len(self._waiting)
+                f"agent.{self.pilot.uid}.queue_depth", self._nwaiting
             )
             self._metrics.gauge(
                 f"agent.{self.pilot.uid}.cores_held", self.slots.used_cores
@@ -360,82 +371,35 @@ class Agent:
     def _schedule_waiting(self) -> None:
         """One scheduling pass over the wait queue.
 
-        Wake-ups are *coalesced*: a pass whose free-core count cannot
-        satisfy the smallest waiting request returns in O(1), so a wave
-        of same-timestamp deallocations accumulates capacity silently
-        until one pass can actually place units — behaviorally identical
-        to scanning on every wake-up (failed allocation attempts emit no
-        events and leave the queue order untouched), but without the
-        O(waiting × cores) rescans.  The same bound stops a scan early
-        once launches drop the free count below every waiting request.
-        Both short-circuits are disabled while any waiting unit carries a
-        node-exclusion list: those units can fail terminally *during* the
-        scan, which is observable in the trace.
+        A unit that avoids no node fails to allocate exactly when its core
+        count exceeds ``slots.largest_fit()`` (contiguous: no pool run is
+        long enough; scattered: too few free cores).  A failed allocation
+        emits nothing and changes nothing, and within a pass placements
+        only shrink the pool.  So a pass keeps a bound ``fit``, starting
+        at ``largest_fit() + 1`` and dropping to ``k`` on the first failed
+        ``alloc(k)``, and never tries a bucket of ``fit`` cores or more:
+        those tries would all fail silently.  Merging the bucket heads and
+        the lane by arrival sequence starts units in exactly the order a
+        scan of the whole queue would.  A wake-up whose ``largest_fit()``
+        is below the smallest bucket key, with an empty lane, returns
+        before the pass; lane units are tried on every pass, because they
+        can fail terminally in it, which the trace shows.  A queue that is
+        one bucket (every 1-core workload) is a plain FIFO pop loop.
         """
         launched: list["ComputeUnit"] = []
         unplaceable: list["ComputeUnit"] = []
         with self._lock:
-            if not self._started or not self._waiting:
+            if not self._started or not self._nwaiting:
                 return
-            can_skip = not self._waiting_excluded
-            if (
-                can_skip
-                and self._min_waiting is not None
-                and self.slots.free_cores < self._min_waiting
-            ):
-                return
-            if self.policy == "fifo":
-                while self._waiting:
-                    head = self._waiting[0]
-                    avoid = self._avoid_for(head)
-                    if (
-                        avoid
-                        and self.slots.eligible_cores(avoid)
-                        < head.description.cores
-                    ):
-                        self._waiting.popleft()
-                        self._waiting_forget(head)
-                        unplaceable.append(head)
-                        continue
-                    slots = self.slots.alloc(head.description.cores, avoid)
-                    if slots is None:
-                        break
-                    self._waiting.popleft()
-                    self._waiting_forget(head)
-                    head.slots = slots
-                    self._executing[head.uid] = head
-                    launched.append(head)
-            else:  # backfill
-                remaining: deque["ComputeUnit"] = deque()
-                while self._waiting:
-                    unit = self._waiting.popleft()
-                    avoid = self._avoid_for(unit)
-                    if (
-                        avoid
-                        and self.slots.eligible_cores(avoid)
-                        < unit.description.cores
-                    ):
-                        self._waiting_forget(unit)
-                        unplaceable.append(unit)
-                        continue
-                    slots = self.slots.alloc(unit.description.cores, avoid)
-                    if slots is None:
-                        remaining.append(unit)
-                        continue
-                    self._waiting_forget(unit)
-                    unit.slots = slots
-                    self._executing[unit.uid] = unit
-                    launched.append(unit)
-                    if (
-                        can_skip
-                        and self._min_waiting is not None
-                        and self.slots.free_cores < self._min_waiting
-                    ):
-                        # No remaining request fits; the rest of the scan
-                        # would only pop-and-requeue in place.
-                        break
-                remaining.extend(self._waiting)
-                self._waiting = remaining
+            keys = self._bucket_keys
+            if not self._lane and len(keys) == 1:
+                self._drain_bucket(keys[0], launched)
+            else:
+                largest = self.slots.largest_fit()
+                if not self._lane and largest < keys[0]:
+                    return
+                self._merge_pass(largest + 1, launched, unplaceable)
+            self._nwaiting -= len(launched) + len(unplaceable)
         for unit in unplaceable:
             # The exclusion list leaves too few cores on this pilot — no
             # amount of waiting or repairs can place the unit, so fail fast
@@ -469,6 +433,96 @@ class Agent:
                 "unit_slots", unit.uid, slots=len(unit.slots), pilot=self.pilot.uid
             )
             self.executor.launch(unit, self._on_unit_done)
+
+    def _place(
+        self, unit: "ComputeUnit", slots: list[int],
+        launched: list["ComputeUnit"],
+    ) -> None:
+        unit.slots = slots
+        self._executing[unit.uid] = unit
+        launched.append(unit)
+
+    def _drain_bucket(self, size: int, launched: list["ComputeUnit"]) -> None:
+        """The pass over a queue that is one bucket: pop while units fit."""
+        bucket = self._buckets[size]
+        slots = self.slots
+        while bucket and slots.free_cores >= size:
+            placed = slots.alloc(size)
+            if placed is None:
+                break
+            self._place(bucket.popleft()[1], placed, launched)
+        if not bucket:
+            self._bucket_drop(size)
+
+    def _merge_pass(
+        self,
+        fit: int,
+        launched: list["ComputeUnit"],
+        unplaceable: list["ComputeUnit"],
+    ) -> None:
+        """The pass over several buckets and the lane, in arrival order."""
+        fifo = self.policy == "fifo"
+        slots = self.slots
+        buckets = self._buckets
+        keys = self._bucket_keys
+        tried = bisect_left(keys, fit)
+        heads = [(buckets[size][0][0], size) for size in keys[:tried]]
+        heapify(heads)
+        # FIFO stops at the first head that cannot fit, which may sit in
+        # a bucket too large to try.
+        stop = inf
+        if fifo:
+            stop = min(
+                (buckets[size][0][0] for size in keys[tried:]), default=inf
+            )
+        lane = self._lane
+        kept: list[tuple[int, "ComputeUnit", frozenset[int]]] = []
+        i = 0
+        while True:
+            head = heads[0][0] if heads else inf
+            if i < len(lane) and lane[i][0] < head:
+                entry = lane[i]
+                if entry[0] > stop:
+                    break
+                i += 1
+                _, unit, avoid = entry
+                size = unit.description.cores
+                if slots.eligible_cores(avoid) < size:
+                    unplaceable.append(unit)
+                    continue
+                placed = None
+                if size < fit and size <= slots.free_cores:
+                    placed = slots.alloc(size, avoid)
+                if placed is not None:
+                    self._place(unit, placed, launched)
+                    continue
+                kept.append(entry)
+                if fifo:
+                    break
+                continue
+            if head > stop or not heads:
+                break
+            size = heads[0][1]
+            if size >= fit:
+                heappop(heads)
+                continue
+            placed = slots.alloc(size) if size <= slots.free_cores else None
+            if placed is None:
+                if fifo:
+                    break
+                fit = size
+                heappop(heads)
+                continue
+            bucket = buckets[size]
+            self._place(bucket.popleft()[1], placed, launched)
+            if bucket:
+                heapreplace(heads, (bucket[0][0], size))
+            else:
+                heappop(heads)
+                self._bucket_drop(size)
+        if i:
+            kept.extend(lane[i:])
+            self._lane = kept
 
     # -- failure domains ------------------------------------------------------------
 
@@ -624,7 +678,7 @@ class Agent:
     @property
     def waiting_units(self) -> int:
         with self._lock:
-            return len(self._waiting)
+            return self._nwaiting
 
     @property
     def executing_units(self) -> int:

@@ -140,6 +140,14 @@ class CoreSlotScheduler(abc.ABC):
         )
         return self.total_cores - avoided
 
+    @abc.abstractmethod
+    def largest_fit(self) -> int:
+        """The largest request :meth:`alloc` can place avoiding no node.
+
+        With no avoided nodes allocation failure is monotone in size:
+        ``alloc(k)`` returns ``None`` exactly when ``k > largest_fit()``.
+        """
+
     # -- pool index maintenance ----------------------------------------------------
 
     def _pool_count_add(self, node: int, delta: int) -> None:
@@ -329,6 +337,12 @@ class ContiguousSlotScheduler(CoreSlotScheduler):
 
     # -- placement -----------------------------------------------------------
 
+    def largest_fit(self) -> int:
+        """The longest pool run."""
+        return max(
+            (end - start for start, end in self._run_end.items()), default=0
+        )
+
     def _pick(
         self, ncores: int, avoid_nodes: set[int] | frozenset[int]
     ) -> list[int] | None:
@@ -364,6 +378,10 @@ class ScatteredSlotScheduler(CoreSlotScheduler):
     the nodes it takes slots from — O(placed + skipped nodes), not
     O(pilot size).
     """
+
+    def largest_fit(self) -> int:
+        """Every pool slot is usable: the free count."""
+        return self._nfree
 
     def _pick(
         self, ncores: int, avoid_nodes: set[int] | frozenset[int]

@@ -18,6 +18,7 @@ from repro.core.patterns import (
     SimulationAnalysisLoop,
 )
 from repro.core.resource_handle import ResourceHandle
+from repro.exceptions import PatternError
 from repro.pilot.retry import RetryPolicy
 from repro.utils.ids import reset_id_counters
 
@@ -62,11 +63,30 @@ class FaultedBag(BagOfTasks):
         return _sleep(100)
 
 
-def trace(pattern_factory, seed=0, cores=32, **handle_kwargs):
+class MixedWidthBag(BagOfTasks):
+    """MPI tasks of 1-32 cores and 5-21 s, widths in a fixed mixed order."""
+
+    def task(self, instance):
+        kernel = _sleep(5 + (3 * instance) % 17)
+        kernel.cores = 1 + (7 * instance) % 32
+        return kernel
+
+
+class LongMixedWidthBag(BagOfTasks):
+    """MPI tasks of 1-32 cores and 30-70 s: long enough for node faults."""
+
+    def task(self, instance):
+        kernel = _sleep(30 + (7 * instance) % 41)
+        kernel.cores = 1 + (7 * instance) % 32
+        return kernel
+
+
+def trace(pattern_factory, seed=0, cores=32, failures_ok=False, **handle_kwargs):
     """Run one pattern from a clean id-counter state; return its trace.
 
     Traces embed generated uids, so byte-identical replay requires the
-    global id counters to restart with every run.
+    global id counters to restart with every run.  With *failures_ok* a
+    run whose pattern ends with failed tasks still returns its trace.
     """
     reset_id_counters()
     handle = ResourceHandle(
@@ -76,6 +96,9 @@ def trace(pattern_factory, seed=0, cores=32, **handle_kwargs):
     handle.allocate()
     try:
         handle.run(pattern_factory())
+    except PatternError:
+        if not failures_ok:
+            raise
     finally:
         handle.deallocate()
     return list(handle.profile)
@@ -309,3 +332,93 @@ class TestGoldenTraceHashesSpooled(TestGoldenTraceHashes):
         assert self._digest(events) == self.GOLDEN[
             "bag_task_node_faults_seed11"
         ]
+
+
+#: Node faults on a three-node pilot with failed-node exclusion: requeued
+#: units wait with exclusion lists, and some end with no pilot left that
+#: has enough non-excluded cores.
+EXCLUDING_FAULT_KWARGS = dict(
+    node_mtbf=150.0,
+    node_repair_time=120.0,
+    retry_policy=RetryPolicy(
+        max_attempts=8, backoff_base=2.0, backoff_factor=2.0,
+        backoff_cap=60.0, jitter=0.5, exclude_failed_nodes=True,
+    ),
+)
+
+
+class TestGoldenMixedWidthTraceHashes:
+    """Pinned digests for multi-core units, resident and spooled.
+
+    The pins above cover only 1-core units, which never fragment the
+    pilot.  These runs place mixed-width MPI tasks, so they pin the order
+    in which the agent's backfill and FIFO passes start units of
+    different widths, with contiguous and scattered slots, and with
+    requeued units that carry node-exclusion lists.
+    """
+
+    RUNS = {
+        "mixed_contiguous_backfill_seed7": (
+            lambda: MixedWidthBag(size=128),
+            dict(seed=7, cores=64, slot_strategy="contiguous"),
+        ),
+        "mixed_contiguous_fifo_seed7": (
+            lambda: MixedWidthBag(size=128),
+            dict(seed=7, cores=64, slot_strategy="contiguous",
+                 agent_policy="fifo"),
+        ),
+        "mixed_scattered_backfill_seed7": (
+            lambda: MixedWidthBag(size=128),
+            dict(seed=7, cores=64, slot_strategy="scattered"),
+        ),
+        "mixed_excluding_faults_seed5": (
+            lambda: LongMixedWidthBag(size=96),
+            dict(seed=5, cores=72, slot_strategy="contiguous",
+                 failures_ok=True, **EXCLUDING_FAULT_KWARGS),
+        ),
+    }
+
+    GOLDEN = {
+        "mixed_contiguous_backfill_seed7":
+            "91c9aaf95a3dcbb48f18d3f8e01940bcf801fbc7467b0534fa8931294344704f",
+        "mixed_contiguous_fifo_seed7":
+            "b80cb01608185938da424500a0c3a643846296ad7682f210527fd947d1cb7cfe",
+        "mixed_scattered_backfill_seed7":
+            "01aceefed9b7d6623b31032822428ab70695eeb4155ab275b4b927b325be68a4",
+        "mixed_excluding_faults_seed5":
+            "648e56b405baf127f7ea7914f9bc5a8fe05f89474f4c845bedb6cf0f5e86bb8a",
+    }
+
+    @pytest.mark.parametrize("spooled", [False, True], ids=["resident", "spooled"])
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_digest(self, run, spooled, tmp_path):
+        make, kwargs = self.RUNS[run]
+        if spooled:
+            kwargs = dict(kwargs, spool_dir=tmp_path)
+        events = trace(make, **kwargs)
+        assert TestGoldenTraceHashes._digest(events) == self.GOLDEN[run]
+
+    def test_fault_run_exercises_exclusions(self):
+        """Requeued units are placed again while they carry exclusion
+        lists, and some fail because too few non-excluded cores remain."""
+        make, kwargs = self.RUNS["mixed_excluding_faults_seed5"]
+        reset_id_counters()
+        kwargs = dict(kwargs)
+        kwargs.pop("failures_ok")
+        handle = ResourceHandle(
+            "xsede.comet", walltime=600, mode="sim", **kwargs
+        )
+        handle.allocate()
+        pattern = make()
+        try:
+            with pytest.raises(PatternError, match="non-excluded cores"):
+                handle.run(pattern)
+        finally:
+            handle.deallocate()
+        requeued = {ev.uid for ev in handle.profile.events("unit_requeue")}
+        relaunched = [
+            ev for ev in handle.profile.events("unit_slots")
+            if ev.uid in requeued
+        ]
+        assert len(relaunched) >= 10
+        assert any(u.description.cores > 1 for u in pattern.failed_units)

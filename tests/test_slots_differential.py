@@ -11,6 +11,8 @@ and compares every observable after every step.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -154,6 +156,26 @@ _OPS = st.lists(
 )
 
 
+def _brute_largest_fit(kind, sched):
+    """Largest placeable request avoiding no node, from the slot arrays."""
+    pool = [
+        free and not offline
+        for free, offline in zip(sched._free, sched._offline)
+    ]
+    if kind == "scattered":
+        return sum(pool)
+    best = run = 0
+    for usable in pool:
+        run = run + 1 if usable else 0
+        best = max(best, run)
+    return best
+
+
+def _fits(sched, ncores):
+    """Whether ``alloc(ncores)`` places, probed on a copy."""
+    return copy.deepcopy(sched).alloc(ncores) is not None
+
+
 def _interpret_and_compare(kind, total_cores, cores_per_node, ops):
     ref_cls, new_cls = _PAIRS[kind]
     ref = ref_cls(total_cores, cores_per_node)
@@ -191,9 +213,19 @@ def _interpret_and_compare(kind, total_cores, cores_per_node, ops):
         assert new.free_cores == ref.free_cores
         assert new.used_cores == ref.used_cores
         assert new.offline_nodes == ref.offline_nodes
+        largest = new.largest_fit()
+        assert largest == _brute_largest_fit(kind, ref)
+        if largest:
+            assert _fits(new, largest)
+        if largest < total_cores:
+            assert new.alloc(largest + 1) is None
 
     for avoid in (frozenset(), frozenset({0}), frozenset(range(ref.nnodes))):
         assert new.eligible_cores(avoid) == ref.eligible_cores(avoid)
+    # With no avoided nodes, failure is monotone in size.
+    largest = new.largest_fit()
+    for ncores in range(1, total_cores + 1):
+        assert _fits(new, ncores) == (ncores <= largest)
 
 
 @pytest.mark.parametrize("kind", sorted(_PAIRS))
@@ -247,3 +279,23 @@ class TestDifferential:
             new.repair_node(node)
         assert new.free_cores == ref.free_cores
         assert ref.alloc(7) == new.alloc(7)
+
+
+@pytest.mark.parametrize("kind", sorted(_PAIRS))
+def test_largest_fit_tracks_fail_and_repair(kind):
+    """``largest_fit`` follows node failures and repairs, and ``alloc``
+    refuses exactly the requests above it."""
+    sched = _PAIRS[kind][1](12, 4)
+    assert sched.largest_fit() == 12
+    held = sched.alloc(2)                   # slots 0-1
+    sched.fail_node(1)                      # slots 4-7 offline
+    expected = {"contiguous": 4, "scattered": 6}[kind]
+    assert sched.largest_fit() == expected == _brute_largest_fit(kind, sched)
+    assert sched.alloc(expected + 1) is None
+    sched.dealloc(held)
+    sched.repair_node(1)
+    assert sched.largest_fit() == 12 == _brute_largest_fit(kind, sched)
+    for node in range(3):
+        sched.fail_node(node)
+    assert sched.largest_fit() == 0
+    assert sched.alloc(1) is None
