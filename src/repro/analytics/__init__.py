@@ -2,7 +2,6 @@
 
 from repro.analytics.faults import (
     FaultRecoverySummary,
-    fault_recovery_overhead,
     fault_recovery_summary,
 )
 from repro.analytics.metrics import (
@@ -22,7 +21,6 @@ from repro.analytics.validation import (
 
 __all__ = [
     "FaultRecoverySummary",
-    "fault_recovery_overhead",
     "fault_recovery_summary",
     "group_units",
     "phase_execution_time",

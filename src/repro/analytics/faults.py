@@ -26,15 +26,16 @@ components above already capture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.pilot.profiler import Profiler
+    from repro.pilot.profiler import ProfileEvent, Profiler
 
 __all__ = [
+    "FAULT_EVENTS",
     "FaultRecoverySummary",
     "fault_recovery_summary",
-    "fault_recovery_overhead",
+    "summarize_faults",
 ]
 
 
@@ -78,21 +79,38 @@ class FaultRecoverySummary:
         }
 
 
+#: Every event kind the summary reads.
+FAULT_EVENTS = (
+    "node_fail", "node_repair", "pilot_fault", "pilot_resubmit",
+    "task_fault", "unit_node_kill", "unit_pilot_kill", "unit_requeue",
+    "entk_task_retry", "agent_start",
+)
+
+
 def fault_recovery_summary(prof: "Profiler") -> FaultRecoverySummary:
     """Fold one session trace into a :class:`FaultRecoverySummary`.
 
     A fault-free trace yields the all-zero summary, so callers can apply
-    this unconditionally.
+    this unconditionally.  The trace is read once.
     """
-    node_fails = prof.events("node_fail")
-    node_repairs = prof.events("node_repair")
-    pilot_faults = prof.events("pilot_fault")
-    resubmits = prof.events("pilot_resubmit")
-    task_faults = prof.events("task_fault")
-    node_kills = prof.events("unit_node_kill")
-    pilot_kills = prof.events("unit_pilot_kill")
-    requeues = prof.events("unit_requeue")
-    retries = prof.events("entk_task_retry")
+    return summarize_faults(*prof.group_by_name(FAULT_EVENTS))
+
+
+def summarize_faults(
+    groups: Mapping[str, list["ProfileEvent"]], trace_end: float
+) -> FaultRecoverySummary:
+    """The summary from a trace already grouped by event name
+    (:meth:`~repro.pilot.profiler.Profiler.group_by_name` over
+    :data:`FAULT_EVENTS`); *trace_end* is the latest event time."""
+    node_fails = groups["node_fail"]
+    node_repairs = groups["node_repair"]
+    pilot_faults = groups["pilot_fault"]
+    resubmits = groups["pilot_resubmit"]
+    task_faults = groups["task_fault"]
+    node_kills = groups["unit_node_kill"]
+    pilot_kills = groups["unit_pilot_kill"]
+    requeues = groups["unit_requeue"]
+    retries = groups["entk_task_retry"]
 
     wasted = sum(ev.attrs.get("wasted", 0.0) for ev in node_kills)
     wasted += sum(ev.attrs.get("wasted", 0.0) for ev in pilot_kills)
@@ -106,9 +124,8 @@ def fault_recovery_summary(prof: "Profiler") -> FaultRecoverySummary:
     # Resubmit downtime: from each pilot_resubmit to the next agent_start
     # of the same pilot (the replacement allocation coming up).  A pilot
     # that never came back is charged up to the trace's last event.
-    trace_end = max((ev.time for ev in prof), default=0.0)
     agent_starts: dict[str, list[float]] = {}
-    for ev in prof.events("agent_start"):
+    for ev in groups["agent_start"]:
         agent_starts.setdefault(ev.uid, []).append(ev.time)
     resubmit_downtime = 0.0
     for ev in resubmits:
@@ -141,8 +158,3 @@ def fault_recovery_summary(prof: "Profiler") -> FaultRecoverySummary:
         resubmit_downtime=resubmit_downtime,
         node_downtime=node_downtime,
     )
-
-
-def fault_recovery_overhead(prof: "Profiler") -> float:
-    """Shortcut: the scalar fault-recovery overhead of one trace."""
-    return fault_recovery_summary(prof).overhead

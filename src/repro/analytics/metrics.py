@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.profiler import merge_interval_length
-from repro.pilot.states import UnitState
+from repro.pilot.unit_store import execution_intervals
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pilot.unit import ComputeUnit
@@ -42,15 +42,7 @@ def group_units(
 
 
 def _exec_intervals(units: Iterable["ComputeUnit"]) -> list[tuple[float, float]]:
-    intervals = []
-    for u in units:
-        start = u.timestamps.get(UnitState.EXECUTING.value)
-        stop = u.timestamps.get(UnitState.AGENT_STAGING_OUTPUT.value)
-        if stop is None:
-            stop = u.timestamps.get(u.state.value)
-        if start is not None and stop is not None:
-            intervals.append((start, stop))
-    return intervals
+    return [iv for iv in execution_intervals(units) if iv is not None]
 
 
 def phase_execution_time(units: Iterable["ComputeUnit"]) -> float:
@@ -88,10 +80,10 @@ def utilization(
     """Fraction of core-seconds spent executing over *span* seconds."""
     if total_cores <= 0 or span <= 0:
         raise ValueError("total_cores and span must be positive")
+    units = list(units)
     busy = 0.0
-    for u in units:
-        intervals = _exec_intervals([u])
-        if intervals:
-            start, stop = intervals[0]
+    for u, interval in zip(units, execution_intervals(units)):
+        if interval is not None:
+            start, stop = interval
             busy += (stop - start) * u.description.cores
     return busy / (total_cores * span)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.pilot.states import UnitState
+from repro.pilot.unit_store import execution_intervals
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pilot.unit import ComputeUnit
@@ -21,16 +22,6 @@ __all__ = [
 ]
 
 
-def _exec_spans(units: Iterable["ComputeUnit"]):
-    for unit in units:
-        start = unit.timestamps.get(UnitState.EXECUTING.value)
-        stop = unit.timestamps.get(UnitState.AGENT_STAGING_OUTPUT.value)
-        if stop is None:
-            stop = unit.timestamps.get(unit.state.value)
-        if start is not None and stop is not None:
-            yield start, stop, unit.description.cores
-
-
 def peak_concurrent_cores(units: Iterable["ComputeUnit"]) -> int:
     """Maximum cores simultaneously occupied by EXECUTING units.
 
@@ -38,8 +29,13 @@ def peak_concurrent_cores(units: Iterable["ComputeUnit"]) -> int:
     before start at equal timestamps (a core freed at *t* is reusable at
     *t*, which matches the agent's reschedule-on-completion behaviour).
     """
+    units = list(units)
     events: list[tuple[float, int, int]] = []
-    for start, stop, cores in _exec_spans(units):
+    for unit, interval in zip(units, execution_intervals(units)):
+        if interval is None:
+            continue
+        start, stop = interval
+        cores = unit.description.cores
         events.append((start, 1, cores))
         events.append((stop, 0, -cores))
     events.sort()

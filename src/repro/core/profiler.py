@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.pilot.states import UnitState
+from repro.pilot.unit_store import execution_intervals
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.execution_pattern import ExecutionPattern
-    from repro.pilot.profiler import Profiler
+    from repro.pilot.profiler import ProfileEvent, Profiler
 
 __all__ = ["OverheadBreakdown", "breakdown_from_profile"]
 
@@ -77,10 +77,28 @@ def merge_interval_length(intervals: list[tuple[float, float]]) -> float:
     return total
 
 
-def _span_sum(prof: "Profiler", start_name: str, stop_name: str, uid: str | None) -> float:
+#: Every event kind the breakdown reads, besides the fault events.
+_BREAKDOWN_EVENTS = (
+    "entk_pattern_start", "entk_pattern_stop",
+    "entk_init_start", "entk_init_stop",
+    "entk_alloc_start", "entk_alloc_stop",
+    "entk_cancel_start", "entk_cancel_stop",
+    "entk_stage_create_start", "entk_stage_create_stop",
+    "entk_pattern_overhead",
+)
+
+
+def _of(events: list["ProfileEvent"], uid: str | None) -> list["ProfileEvent"]:
+    return events if uid is None else [ev for ev in events if ev.uid == uid]
+
+
+def _span_sum(
+    groups: dict[str, list["ProfileEvent"]], start_name: str, stop_name: str,
+    uid: str | None,
+) -> float:
     """Sum of paired start/stop spans (same count assumed, in order)."""
-    starts = prof.events(start_name, uid)
-    stops = prof.events(stop_name, uid)
+    starts = _of(groups[start_name], uid)
+    stops = _of(groups[stop_name], uid)
     return sum(
         stop.time - start.time for start, stop in zip(starts, stops)
     )
@@ -95,22 +113,24 @@ def breakdown_from_profile(
     last task leaving it — with identical concurrent tasks (the paper's
     characterization workloads) this equals the per-task runtime, and in
     general it is what a user perceives as "my tasks running".
+
+    The trace is read once: the events of every kind used here and by
+    the fault summary are grouped by name in a single pass.
     """
     units = [u for u in pattern.units]
     if not units:
         raise ValueError(f"pattern {pattern.uid} has no units (was it run?)")
 
-    ttc = prof.span("entk_pattern_start", "entk_pattern_stop", pattern.uid) or 0.0
+    # Imported lazily: analytics sits above core in the layer diagram.
+    from repro.analytics.faults import FAULT_EVENTS, summarize_faults
 
-    intervals: list[tuple[float, float]] = []
-    for u in units:
-        start = u.timestamps.get(UnitState.EXECUTING.value)
-        stop = u.timestamps.get(UnitState.AGENT_STAGING_OUTPUT.value)
-        if stop is None:
-            # Failed mid-execution: use the final-state stamp.
-            stop = u.timestamps.get(u.state.value)
-        if start is not None and stop is not None:
-            intervals.append((start, stop))
+    groups, trace_end = prof.group_by_name(_BREAKDOWN_EVENTS + FAULT_EVENTS)
+
+    starts = _of(groups["entk_pattern_start"], pattern.uid)
+    stops = _of(groups["entk_pattern_stop"], pattern.uid)
+    ttc = stops[-1].time - starts[0].time if starts and stops else 0.0
+
+    intervals = [iv for iv in execution_intervals(units) if iv is not None]
     execution_time = merge_interval_length(intervals)
     makespan = (
         max(stop for _, stop in intervals) - min(start for start, _ in intervals)
@@ -120,28 +140,26 @@ def breakdown_from_profile(
 
     # Core overhead: init + allocate + cancel client-side spans.
     core_overhead = (
-        _span_sum(prof, "entk_init_start", "entk_init_stop", None)
-        + _span_sum(prof, "entk_alloc_start", "entk_alloc_stop", None)
-        + _span_sum(prof, "entk_cancel_start", "entk_cancel_stop", None)
+        _span_sum(groups, "entk_init_start", "entk_init_stop", None)
+        + _span_sum(groups, "entk_alloc_start", "entk_alloc_stop", None)
+        + _span_sum(groups, "entk_cancel_start", "entk_cancel_stop", None)
     )
 
     # Pattern overhead: task creation (measured) plus submission charge.
     create = _span_sum(
-        prof, "entk_stage_create_start", "entk_stage_create_stop", pattern.uid
+        groups, "entk_stage_create_start", "entk_stage_create_stop",
+        pattern.uid,
     )
     charged = sum(
         ev.attrs.get("seconds", 0.0)
-        for ev in prof.events("entk_pattern_overhead", pattern.uid)
+        for ev in _of(groups["entk_pattern_overhead"], pattern.uid)
     )
     pattern_overhead = create + charged
 
     runtime_overhead = max(ttc - execution_time - pattern_overhead, 0.0)
 
     # Fault-recovery share of the run (0.0 when no faults were injected).
-    # Imported lazily: analytics sits above core in the layer diagram.
-    from repro.analytics.faults import fault_recovery_overhead
-
-    fault_overhead = fault_recovery_overhead(prof)
+    fault_overhead = summarize_faults(groups, trace_end).overhead
 
     return OverheadBreakdown(
         ttc=ttc,

@@ -19,7 +19,7 @@ re-exported here under its historical import path.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.telemetry.sink import EventSink, MemorySink, ProfileEvent
 
@@ -88,25 +88,61 @@ class Profiler:
     def events(self, name: str | None = None, uid: str | None = None) -> list[ProfileEvent]:
         """Events filtered by name and/or uid, in recording order."""
         with self._lock:
-            snapshot = self._sink.events()
-        return [
-            ev
-            for ev in snapshot
-            if (name is None or ev.name == name) and (uid is None or ev.uid == uid)
-        ]
+            return [
+                ev
+                for ev in self._sink.scan()
+                if (name is None or ev.name == name)
+                and (uid is None or ev.uid == uid)
+            ]
+
+    def group_by_name(
+        self, names: Iterable[str]
+    ) -> tuple[dict[str, list[ProfileEvent]], float]:
+        """One read of the trace: the events of each of *names*, and the
+        latest event time of the whole trace (0.0 when it is empty).
+
+        Every name gets a key; each list is in recording order.  An
+        analysis that needs several kinds of event reads the trace once
+        through this rather than once per :meth:`events` call (on a
+        spool sink every call re-reads the file).  Only the named events
+        are kept, and nothing is cached.
+        """
+        groups: dict[str, list[ProfileEvent]] = {name: [] for name in names}
+        lookup = groups.get
+        latest = None
+        with self._lock:
+            for ev in self._sink.scan():
+                group = lookup(ev.name)
+                if group is not None:
+                    group.append(ev)
+                if latest is None or ev.time > latest:
+                    latest = ev.time
+        return groups, 0.0 if latest is None else latest
 
     def first(self, name: str, uid: str | None = None) -> ProfileEvent | None:
-        matches = self.events(name, uid)
-        return matches[0] if matches else None
+        """The earliest recorded *name* event (of *uid*); stops reading at
+        the first match."""
+        with self._lock:
+            return _first_match(self._sink.scan(), name, uid)
 
     def last(self, name: str, uid: str | None = None) -> ProfileEvent | None:
-        matches = self.events(name, uid)
-        return matches[-1] if matches else None
+        """The latest recorded *name* event (of *uid*); a memory sink is
+        read backwards and stops at the first match."""
+        with self._lock:
+            return _first_match(self._sink.scan(reverse=True), name, uid)
 
     def span(self, start_name: str, end_name: str, uid: str | None = None) -> float | None:
-        """Seconds from the first *start_name* to the last *end_name*."""
-        start = self.first(start_name, uid)
-        end = self.last(end_name, uid)
+        """Seconds from the first *start_name* to the last *end_name*, in
+        one read of the trace."""
+        start = end = None
+        with self._lock:
+            for ev in self._sink.scan():
+                if uid is not None and ev.uid != uid:
+                    continue
+                if ev.name == end_name:
+                    end = ev
+                if start is None and ev.name == start_name:
+                    start = ev
         if start is None or end is None:
             return None
         return end.time - start.time
@@ -133,3 +169,12 @@ class Profiler:
         """Flush and close the sink (a no-op for memory sinks)."""
         with self._lock:
             self._sink.close()
+
+
+def _first_match(
+    events: Iterator[ProfileEvent], name: str, uid: str | None
+) -> ProfileEvent | None:
+    for ev in events:
+        if ev.name == name and (uid is None or ev.uid == uid):
+            return ev
+    return None

@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import threading
 from array import array
+from itertools import groupby
 from math import isnan, nan
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.pilot.states import UnitState, validate_unit_edge
@@ -43,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pilot.description import ComputeUnitDescription
     from repro.pilot.unit import ComputeUnit
 
-__all__ = ["UnitStore", "UnitTimestamps"]
+__all__ = ["UnitStore", "UnitTimestamps", "execution_intervals"]
 
 #: Stable state <-> small-int codec (enum definition order).
 _STATES: list[UnitState] = list(UnitState)
@@ -211,6 +213,36 @@ class UnitStore:
         return range(first, first + n)
 
     # -- dense fields -------------------------------------------------------
+
+    def execution_intervals(
+        self, rows: Iterable[int]
+    ) -> list[tuple[float, float] | None]:
+        """The execution interval of each of *rows*, in order.
+
+        An interval runs from the entry into EXECUTING to the entry into
+        AGENT_STAGING_OUTPUT or, for a unit that failed or was cancelled
+        mid-execution, to the stamp of its current (final) state.
+        ``None`` stands for a row that never executed.  This is the one
+        place the rule lives: TTC breakdown, phase metrics and the core
+        accounting check all read intervals through it.
+        """
+        starts = self._ts[UnitState.EXECUTING.value]
+        stops = self._ts[UnitState.AGENT_STAGING_OUTPUT.value]
+        by_code = [self._ts[state.value] for state in _STATES]
+        codes = self._state
+        out: list[tuple[float, float] | None] = []
+        for i in rows:
+            start = starts[i]
+            if isnan(start):
+                out.append(None)
+                continue
+            stop = stops[i]
+            if isnan(stop):
+                # Every transition stamps the state it enters, so the
+                # current state's stamp is always set.
+                stop = by_code[codes[i]][i]
+            out.append((start, stop))
+        return out
 
     def uid(self, i: int) -> str:
         return f"unit.{self._serial[i]:0{_UID_WIDTH}d}"
@@ -403,3 +435,17 @@ class UnitStore:
                     event = self._final_events.get(unit._i)
                     if event is not None:
                         event.set()
+
+
+def execution_intervals(
+    units: Iterable["ComputeUnit"],
+) -> list[tuple[float, float] | None]:
+    """:meth:`UnitStore.execution_intervals` for *units*, in order.
+
+    One store call per run of units that share a store (a pattern's
+    units normally all do), instead of one timestamp view per unit.
+    """
+    out: list[tuple[float, float] | None] = []
+    for store, run in groupby(units, key=attrgetter("_store")):
+        out += store.execution_intervals([unit._i for unit in run])
+    return out

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
-from repro.telemetry.span import Span, SpanTree, SpanBuilder, _normalize, component_of
+from repro.telemetry.span import Span, SpanBuilder, SpanTree, component_of
 
 __all__ = ["chrome_trace", "write_chrome_trace"]
 
@@ -58,13 +58,14 @@ def _track_of(span: Span, tree: SpanTree) -> str:
 
 def chrome_trace(events: Iterable[Any]) -> dict[str, Any]:
     """Render a flat event trace as a Chrome trace-event document."""
-    normalized = [_normalize(ev) for ev in events]
-    tree = SpanBuilder().add_events(normalized).build()
+    builder = SpanBuilder().add_events(events)
+    tree = builder.build()
+    normalized = builder.events
 
     spans = sorted(tree, key=lambda span: (span.t_start, span.uid))
+    tracks = [_track_of(span, tree) for span in spans]
     tids: dict[str, int] = {"client": 1}
-    for span in spans:
-        track = _track_of(span, tree)
+    for track in tracks:
         if track not in tids:
             tids[track] = len(tids) + 1
 
@@ -79,7 +80,7 @@ def chrome_trace(events: Iterable[Any]) -> dict[str, Any]:
             "args": {"name": track},
         })
 
-    for span in spans:
+    for span, track in zip(spans, tracks):
         args = {"uid": span.uid, "ref": span.ref}
         args.update(
             (key, value)
@@ -87,7 +88,7 @@ def chrome_trace(events: Iterable[Any]) -> dict[str, Any]:
             if isinstance(value, (str, int, float, bool))
         )
         trace_events.append({
-            "ph": "X", "pid": _PID, "tid": tids[_track_of(span, tree)],
+            "ph": "X", "pid": _PID, "tid": tids[track],
             "name": span.name, "cat": component_of(span),
             "ts": _us(span.t_start), "dur": _us(span.duration),
             "args": args,

@@ -30,6 +30,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
+from repro.telemetry.sink import is_row
+
 __all__ = ["MetricSeries", "MetricsRegistry"]
 
 
@@ -192,7 +194,7 @@ class MetricsRegistry:
         """
         registry = cls(lambda: 0.0)
         for event in events:
-            if isinstance(event, Mapping):
+            if is_row(event):
                 name, uid = str(event["name"]), str(event.get("uid", ""))
                 attrs: Mapping[str, Any] = event
                 time = float(event["time"])

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
@@ -54,6 +55,15 @@ class ProfileEvent:
         return record
 
 
+def is_row(event: Any) -> bool:
+    """Whether *event* is a JSONL row (a mapping) rather than a live
+    event.  A plain dict, the parsed-row form, is settled by one exact
+    check; a live event never pays the abstract ``Mapping`` check."""
+    if isinstance(event, dict):
+        return True
+    return not isinstance(event, ProfileEvent) and isinstance(event, Mapping)
+
+
 def revive(row: dict[str, Any]) -> ProfileEvent:
     """The inverse of :meth:`ProfileEvent.row` for one parsed JSONL row."""
     time = row.pop("time")
@@ -66,9 +76,9 @@ class EventSink:
     """Append-only event storage; the profiler serializes all access.
 
     The contract is deliberately tiny: ``append`` one event, ``events``
-    from an index onward, ``len``, and lifecycle ``flush``/``close``.
-    Sinks need no locking of their own — the owning profiler already
-    guards every call.
+    from an index onward, ``scan`` without a copy, ``len``, and
+    lifecycle ``flush``/``close``.  Sinks need no locking of their own —
+    the owning profiler already guards every call.
     """
 
     __slots__ = ()
@@ -77,6 +87,12 @@ class EventSink:
         raise NotImplementedError
 
     def events(self, since: int = 0) -> list[ProfileEvent]:
+        raise NotImplementedError
+
+    def scan(self, reverse: bool = False) -> Iterator[ProfileEvent]:
+        """Every event in recording order (newest first with *reverse*),
+        without building a list where the sink can avoid it, so that a
+        reader that stops early reads only what it needs."""
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -106,6 +122,9 @@ class MemorySink(EventSink):
     def events(self, since: int = 0) -> list[ProfileEvent]:
         return self._events[since:] if since else list(self._events)
 
+    def scan(self, reverse: bool = False) -> Iterator[ProfileEvent]:
+        return reversed(self._events) if reverse else iter(self._events)
+
     def __len__(self) -> int:
         return len(self._events)
 
@@ -116,9 +135,9 @@ class SpoolSink(EventSink):
     ``path`` is created (parents included) and truncated on first
     append.  ``ring`` bounds how many recent events stay in memory for
     cheap :meth:`tail` access; the full history lives only in the file.
-    Reading (``events``/``__iter__``) flushes the stream and revives the
-    file's rows, so reads are O(file) — fine for end-of-run export and
-    analytics, which is the only read pattern the runtime has.
+    Reading (``events``/``scan``/``__iter__``) flushes the stream and
+    revives the file's rows, so reads are O(file) — fine for end-of-run
+    export and analytics, which is the only read pattern the runtime has.
     """
 
     __slots__ = ("path", "_ring", "_stream", "_count", "_opened")
@@ -152,6 +171,22 @@ class SpoolSink(EventSink):
                 if index >= since and line.strip():
                     out.append(revive(json.loads(line)))
         return out
+
+    def scan(self, reverse: bool = False) -> Iterator[ProfileEvent]:
+        if reverse:
+            return reversed(self.events())
+        return self._stream_rows()
+
+    def _stream_rows(self) -> Iterator[ProfileEvent]:
+        """Revive the spool line by line; nothing but the current event
+        stays resident."""
+        self.flush()
+        if not self._opened:
+            return
+        with self.path.open() as stream:
+            for line in stream:
+                if line.strip():
+                    yield revive(json.loads(line))
 
     def tail(self) -> list[ProfileEvent]:
         """The most recent events still resident (at most the ring size)."""

@@ -16,7 +16,8 @@ parent span and free-form attributes.  Two sources produce spans:
 The builder accepts events in any order (it sorts by timestamp, stably)
 and from either live :class:`~repro.pilot.profiler.ProfileEvent` objects
 or dicts parsed back from a JSONL trace dump, so the ``repro trace`` CLI
-and the in-process analytics share one code path.
+and the in-process analytics share one code path.  Live events are
+taken as they are, not copied: a recorded event must never be mutated.
 
 This module must not import the pilot layer at runtime (the session
 imports *us*); events are duck-typed on ``time``/``name``/``uid``/
@@ -26,10 +27,13 @@ imports *us*); events are duck-typed on ``time``/``name``/``uid``/
 from __future__ import annotations
 
 import threading
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import Any, Iterable, Iterator
 
+from repro.telemetry.sink import is_row
 from repro.utils.ids import generate_id
 
 __all__ = ["Span", "SpanTree", "SpanBuilder", "Tracer", "component_of"]
@@ -170,7 +174,7 @@ NULL_TRACER = Tracer(None)
 
 @dataclass(frozen=True, slots=True)
 class _Event:
-    """Normalized view of one trace event (live object or JSONL dict)."""
+    """One JSONL trace row in the shape of a live event."""
 
     time: float
     name: str
@@ -178,16 +182,43 @@ class _Event:
     attrs: Mapping[str, Any]
 
 
-def _normalize(event: Any) -> _Event:
-    if isinstance(event, Mapping):
-        attrs = {
-            key: value
-            for key, value in event.items()
-            if key not in ("time", "name", "uid")
-        }
-        return _Event(float(event["time"]), str(event["name"]),
-                      str(event.get("uid", "")), attrs)
-    return _Event(event.time, event.name, event.uid, event.attrs)
+def _from_row(row: Mapping[str, Any]) -> _Event:
+    attrs = {
+        key: value
+        for key, value in row.items()
+        if key not in ("time", "name", "uid")
+    }
+    return _Event(float(row["time"]), str(row["name"]),
+                  str(row.get("uid", "")), attrs)
+
+
+def _normalize(event: Any) -> Any:
+    """A JSONL row (any mapping) as an :class:`_Event`; a live event as
+    it is — the builder only reads ``time``/``name``/``uid``/``attrs``,
+    so it never copies or mutates a live event."""
+    return _from_row(event) if is_row(event) else event
+
+
+_TIME = attrgetter("time")
+_START_UID = attrgetter("t_start", "uid")
+
+#: Derivation lane of every event name the builder reads.
+_ROUTES = {
+    "session_start": "session", "session_close": "session",
+    "entk_init_start": "entk_init", "entk_init_stop": "entk_init",
+    "entk_alloc_start": "entk_alloc", "entk_alloc_stop": "entk_alloc",
+    "entk_cancel_start": "entk_cancel", "entk_cancel_stop": "entk_cancel",
+    "entk_pattern_start": "pattern", "entk_pattern_stop": "pattern",
+    "entk_stage_create_start": "stage_create",
+    "entk_stage_create_stop": "stage_create",
+    "entk_pattern_overhead": "pattern_overhead",
+    "pilot_submit": "pilot", "pilot_resubmit": "pilot",
+    "agent_start": "pilot", "agent_stop": "pilot", "agent_abort": "pilot",
+    "pilot_cancel": "pilot",
+    "unit_new": "unit", "unit_state": "unit",
+    "span_open": "explicit", "span_close": "explicit",
+}
+_LANES = tuple(dict.fromkeys(_ROUTES.values()))
 
 
 @dataclass
@@ -247,17 +278,25 @@ class SpanBuilder:
     """
 
     def __init__(self) -> None:
-        self._events: list[_Event] = []
+        self._events: list[Any] = []
         self._cursor = 0
 
+    @property
+    def events(self) -> list[Any]:
+        """Every event fed so far, normalized, in the order fed."""
+        return self._events
+
     def add_events(self, events: Iterable[Any]) -> "SpanBuilder":
-        self._events.extend(_normalize(ev) for ev in events)
+        self._events.extend(map(_normalize, events))
         return self
 
     def ingest(self, profiler: Any) -> int:
-        """Pull events recorded since the last call; returns how many."""
+        """Pull events recorded since the last call; returns how many.
+
+        A profiler hands out live events (a spool sink revives them), so
+        they are taken as they are."""
         fresh, self._cursor = profiler.snapshot(since=self._cursor)
-        self.add_events(fresh)
+        self._events.extend(fresh)
         return len(fresh)
 
     # -- construction ------------------------------------------------------
@@ -265,8 +304,18 @@ class SpanBuilder:
     def build(self) -> SpanTree:
         if not self._events:
             raise ValueError("no events to build a span tree from")
-        events = sorted(self._events, key=lambda ev: ev.time)  # stable
+        events = sorted(self._events, key=_TIME)  # stable
         t_trace_end = events[-1].time
+
+        # One pass routes each event to the derivation pass that reads
+        # it; every lane keeps the sorted order.
+        lanes: dict[str, list[Any]] = {lane: [] for lane in _LANES}
+        route = {name: lanes[lane] for name, lane in _ROUTES.items()}
+        lookup = route.get
+        for ev in events:
+            lane = lookup(ev.name)
+            if lane is not None:
+                lane.append(ev)
 
         spans: dict[str, Span] = {}
 
@@ -274,19 +323,20 @@ class SpanBuilder:
             spans[span.uid] = span
             return span
 
-        root = add(self._session_span(events, t_trace_end))
+        root = add(self._session_span(lanes["session"], events[0].time,
+                                      t_trace_end))
 
         for name in ("entk_init", "entk_alloc", "entk_cancel"):
             for i, (uid, t0, t1, attrs) in enumerate(
-                self._paired(events, f"{name}_start", f"{name}_stop")
+                self._paired(lanes[name], f"{name}_start", f"{name}_stop")
             ):
                 add(Span(f"{name}:{i}", name, t0, t1,
                          parent=root.uid, ref=uid, attrs=dict(attrs)))
 
-        self._pattern_spans(events, spans, root, t_trace_end)
-        self._pilot_spans(events, spans, root, t_trace_end)
-        self._unit_spans(events, spans, root, t_trace_end)
-        self._explicit_spans(events, spans, root, t_trace_end)
+        self._pattern_spans(lanes, spans, root, t_trace_end)
+        self._pilot_spans(lanes["pilot"], spans, root, t_trace_end)
+        self._unit_spans(lanes["unit"], spans, root, t_trace_end)
+        self._explicit_spans(lanes["explicit"], spans, root, t_trace_end)
 
         self._link(spans, root)
         return SpanTree(root=root, spans=spans)
@@ -295,7 +345,7 @@ class SpanBuilder:
 
     @staticmethod
     def _paired(
-        events: list[_Event], start_name: str, stop_name: str
+        events: list[Any], start_name: str, stop_name: str
     ) -> list[tuple[str, float, float, Mapping[str, Any]]]:
         """Match *start*/*stop* events per uid, in order of occurrence."""
         open_by_uid: dict[str, list[tuple[float, Mapping[str, Any]]]] = {}
@@ -309,24 +359,26 @@ class SpanBuilder:
         pairs.sort(key=lambda pair: pair[1])  # stable: by start time
         return pairs
 
-    def _session_span(self, events: list[_Event], t_trace_end: float) -> Span:
+    def _session_span(
+        self, events: list[Any], t_trace_start: float, t_trace_end: float
+    ) -> Span:
         starts = [ev for ev in events if ev.name == "session_start"]
         closes = [ev for ev in events if ev.name == "session_close"]
         uid = starts[0].uid if starts else "session"
-        t0 = starts[0].time if starts else events[0].time
+        t0 = starts[0].time if starts else t_trace_start
         t1 = closes[-1].time if closes else t_trace_end
         return Span(f"session:{uid}", "session", t0, max(t1, t_trace_end),
                     parent=None, ref=uid)
 
     def _pattern_spans(
-        self, events: list[_Event], spans: dict[str, Span], root: Span,
-        t_trace_end: float,
+        self, lanes: dict[str, list[Any]], spans: dict[str, Span],
+        root: Span, t_trace_end: float,
     ) -> None:
-        patterns = self._paired(events, "entk_pattern_start",
+        patterns = self._paired(lanes["pattern"], "entk_pattern_start",
                                 "entk_pattern_stop")
         # Unstopped patterns (crashed run) still deserve a span.
-        stopped = [uid for uid, _, _, _ in patterns]
-        for ev in events:
+        stopped = {uid for uid, _, _, _ in patterns}
+        for ev in lanes["pattern"]:
             if ev.name == "entk_pattern_start" and ev.uid not in stopped:
                 patterns.append((ev.uid, ev.time, t_trace_end, ev.attrs))
         for uid, t0, t1, attrs in patterns:
@@ -349,11 +401,13 @@ class SpanBuilder:
                 enclosing.sort(key=lambda s: (s.duration, s.uid))
                 span.parent = enclosing[0].uid
 
+        create_counts: dict[str, int] = {}
         for uid, t0, t1, attrs in self._paired(
-            events, "entk_stage_create_start", "entk_stage_create_stop"
+            lanes["stage_create"], "entk_stage_create_start",
+            "entk_stage_create_stop",
         ):
-            i = sum(1 for s in spans.values()
-                    if s.name == "entk_stage_create" and s.ref == uid)
+            i = create_counts.get(uid, 0)
+            create_counts[uid] = i + 1
             parent = f"pattern:{uid}" if f"pattern:{uid}" in spans else root.uid
             key = f"entk_stage_create:{uid}:{i}"
             spans[key] = Span(key, "entk_stage_create", t0, t1,
@@ -362,9 +416,7 @@ class SpanBuilder:
         # The charged pattern overhead delays delivery of a batch starting
         # at the moment it is recorded; book it as a [t, t+seconds] span.
         charge_counts: dict[str, int] = {}
-        for ev in events:
-            if ev.name != "entk_pattern_overhead":
-                continue
+        for ev in lanes["pattern_overhead"]:
             seconds = float(ev.attrs.get("seconds", 0.0))
             i = charge_counts.get(ev.uid, 0)
             charge_counts[ev.uid] = i + 1
@@ -376,7 +428,7 @@ class SpanBuilder:
                               attrs=dict(ev.attrs))
 
     def _pilot_spans(
-        self, events: list[_Event], spans: dict[str, Span], root: Span,
+        self, events: list[Any], spans: dict[str, Span], root: Span,
         t_trace_end: float,
     ) -> None:
         submits: dict[str, float] = {}
@@ -405,44 +457,45 @@ class SpanBuilder:
             )
 
     def _unit_spans(
-        self, events: list[_Event], spans: dict[str, Span], root: Span,
+        self, events: list[Any], spans: dict[str, Span], root: Span,
         t_trace_end: float,
     ) -> None:
         # Per unit: creation time + pattern attribution from unit_new,
         # then the timestamped state sequence.
-        created: dict[str, tuple[float, str]] = {}
-        states: dict[str, list[tuple[float, str]]] = {}
+        created: dict[str, Any] = {}
+        states: dict[str, list[Any]] = {}
         for ev in events:
             if ev.name == "unit_new":
-                created.setdefault(
-                    ev.uid, (ev.time, str(ev.attrs.get("pattern", "")))
-                )
-            elif ev.name == "unit_state":
-                states.setdefault(ev.uid, []).append(
-                    (ev.time, str(ev.attrs.get("state", "")))
-                )
-        for uid in sorted(set(created) | set(states)):
-            t_created, pattern_uid = created.get(uid, (None, ""))
+                created.setdefault(ev.uid, ev)
+            else:
+                states.setdefault(ev.uid, []).append(ev)
+        for uid in sorted(created.keys() | states.keys()):
+            new = created.get(uid)
+            pattern_uid = "" if new is None else str(
+                new.attrs.get("pattern", "")
+            )
             seq = states.get(uid, [])
-            t0 = t_created if t_created is not None else seq[0][0]
-            t1 = seq[-1][0] if seq else t_trace_end
+            t0 = new.time if new is not None else seq[0].time
+            t1 = seq[-1].time if seq else t_trace_end
             parent = (f"pattern:{pattern_uid}"
                       if f"pattern:{pattern_uid}" in spans else root.uid)
             container = Span(f"unit:{uid}", "unit", t0, t1, parent=parent,
                              ref=uid, attrs={"pattern": pattern_uid})
             spans[container.uid] = container
             for i in range(len(seq) - 1):
-                t_phase, state = seq[i]
                 key = f"unit:{uid}:{i}"
-                spans[key] = Span(key, f"unit:{state}", t_phase,
-                                  seq[i + 1][0], parent=container.uid,
-                                  ref=uid)
+                spans[key] = Span(
+                    key, f"unit:{seq[i].attrs.get('state', '')}",
+                    seq[i].time, seq[i + 1].time, parent=container.uid,
+                    ref=uid,
+                )
 
     def _explicit_spans(
-        self, events: list[_Event], spans: dict[str, Span], root: Span,
+        self, events: list[Any], spans: dict[str, Span], root: Span,
         t_trace_end: float,
     ) -> None:
         opened: dict[str, Span] = {}
+        explicit: list[Span] = []
         for ev in events:
             if ev.name == "span_open":
                 attrs = {
@@ -456,11 +509,12 @@ class SpanBuilder:
                             ref=str(ev.attrs.get("ref", "")), attrs=attrs)
                 opened[ev.uid] = span
                 spans[ev.uid] = span
+                explicit.append(span)
             elif ev.name == "span_close" and ev.uid in opened:
                 opened.pop(ev.uid).t_end = ev.time
         # Resolve parents: explicit parent uid, else the ref's entity
         # span, else the session root.
-        for span in spans.values():
+        for span in explicit:
             if not span.uid.startswith("span."):
                 continue
             if span.parent and span.parent in spans:
@@ -484,4 +538,5 @@ class SpanBuilder:
                 parent = root
             parent.children.append(span)
         for span in spans.values():
-            span.children.sort(key=lambda s: (s.t_start, s.uid))
+            if len(span.children) > 1:
+                span.children.sort(key=_START_UID)
