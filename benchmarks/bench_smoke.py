@@ -148,7 +148,9 @@ def bench_sched_pressure() -> tuple[dict, float]:
     return {"units": n, "cores": cores}, ttc
 
 
-def bench_pattern_eop(spool_dir: str | None = None) -> tuple[dict, float]:
+def _eop_ttc(size: int, cores: int, **handle_kwargs) -> float:
+    """TTC (from the Fig. 3 breakdown) of a two-stage EoP of 40 s and
+    20 s sleeps on xsede.comet."""
     from repro.core.kernel_plugin import Kernel
     from repro.core.patterns import EnsembleOfPipelines
     from repro.core.profiler import breakdown_from_profile
@@ -165,19 +167,41 @@ def bench_pattern_eop(spool_dir: str | None = None) -> tuple[dict, float]:
             kernel.arguments = ["--duration=20"]
             return kernel
 
-    size, cores = 16, 16
     pattern = EoP(ensemble_size=size, pipeline_size=2)
     handle = ResourceHandle(
-        "xsede.comet", cores=cores, walltime=600, mode="sim", seed=0,
-        spool_dir=spool_dir,
+        "xsede.comet", cores=cores, walltime=600, mode="sim", **handle_kwargs
     )
     handle.allocate()
     try:
         handle.run(pattern)
     finally:
         handle.deallocate()
-    breakdown = breakdown_from_profile(handle.profile, pattern)
-    return {"ensemble_size": size, "cores": cores}, breakdown.ttc
+    return breakdown_from_profile(handle.profile, pattern).ttc
+
+
+def bench_pattern_eop(spool_dir: str | None = None) -> tuple[dict, float]:
+    size, cores = 16, 16
+    ttc = _eop_ttc(size, cores, seed=0, spool_dir=spool_dir)
+    return {"ensemble_size": size, "cores": cores}, ttc
+
+
+def bench_pattern_eop_coarse_faults() -> tuple[dict, float]:
+    """EoP in coarse lifecycle batches while nodes fail: killed units
+    leave their launch batch and are requeued under a retry policy."""
+    from repro.pilot.retry import RetryPolicy
+
+    size, cores, mtbf = 48, 32, 120.0
+    ttc = _eop_ttc(
+        size, cores, seed=7, bulk_lifecycle=True,
+        node_mtbf=mtbf, node_repair_time=120.0,
+        retry_policy=RetryPolicy(
+            max_attempts=8, backoff_base=2.0, backoff_factor=2.0,
+            backoff_cap=60.0, jitter=0.5, exclude_failed_nodes=False,
+        ),
+    )
+    config = {"ensemble_size": size, "cores": cores,
+              "bulk_lifecycle": True, "node_mtbf": mtbf}
+    return config, ttc
 
 
 CASES = [
@@ -186,6 +210,7 @@ CASES = [
     ("batch_scheduler_placement", bench_batch_scheduler_placement),
     ("sched_pressure", bench_sched_pressure),
     ("pattern_eop", bench_pattern_eop),
+    ("pattern_eop_coarse_faults", bench_pattern_eop_coarse_faults),
 ]
 
 #: Wall-time repeats per case.  The recorded ``wall_s`` is the minimum

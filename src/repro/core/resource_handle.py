@@ -67,8 +67,9 @@ class ResourceHandle:
         Agent scheduling knobs (see :class:`repro.pilot.agent.Agent`).
     spool_dir, bulk_lifecycle:
         Scale-envelope knobs: stream the trace to an NDJSON spool file,
-        and move homogeneous unit batches through the state machine in
-        bulk (see :class:`repro.pilot.session.Session`).
+        and cut units into coarse batches that move through the state
+        machine together, with one trace record per batch; fault
+        injection works either way (see :class:`repro.pilot.session.Session`).
     overheads:
         EnTK client-side cost model used under simulation.
     """

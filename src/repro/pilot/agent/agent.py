@@ -96,15 +96,13 @@ class Agent:
             Callable[["ComputeUnit", BaseException], Any] | None
         ) = None
         self._fault_process: NodeFaultProcess | None = None
-        self._launch_times: dict[str, float] = {}
         self._tracer = getattr(session, "tracer", None) or Tracer(None)
         self._metrics = getattr(session, "metrics", None)
-        #: Batched lifecycle (``Session(bulk_lifecycle=True)``): accept,
-        #: launch and complete homogeneous batches with per-batch events.
-        self._bulk = bool(getattr(session, "bulk_lifecycle", False))
 
         if session.is_simulated:
-            self.stager = SimStager(session.sim_context, tracer=self._tracer)
+            self.stager = SimStager(
+                session.sim_context, session.unit_store, tracer=self._tracer
+            )
             self.executor: Any = SimExecutor(
                 session, evaluate_payloads=evaluate_payloads
             )
@@ -254,78 +252,35 @@ class Agent:
     # -- submission ---------------------------------------------------------------
 
     def submit_units(self, units: list["ComputeUnit"]) -> None:
-        """Accept units from the unit manager (any time after creation)."""
-        with self._tracer.span("agent.submit", self.pilot.uid, n=len(units)):
-            if self._bulk:
-                self._accept_units_bulk(units)
-            else:
-                self._accept_units(units)
+        """Accept units from the unit manager (any time after creation).
 
-    def _accept_units(self, units: list["ComputeUnit"]) -> None:
-        for unit in units:
-            if unit.description.cores > self.slots.total_cores:
-                unit.advance(UnitState.FAILED)
-                unit.exception = SchedulingError(
-                    f"unit {unit.uid} wants {unit.description.cores} cores; "
-                    f"pilot {self.pilot.uid} holds {self.slots.total_cores}"
-                )
-                self._notify_final(unit)
-                continue
-            unit.pilot_uid = self.pilot.uid
-            self.stager.register_unit(unit)
-            unit.advance(UnitState.AGENT_STAGING_INPUT)
-            try:
-                self.stager.stage_in(unit, lambda u=unit: self._on_staged_in(u))
-            except Exception as exc:  # staging failure fails the unit, not the agent
-                unit.exception = exc
-                unit.advance(UnitState.FAILED)
-                self._notify_final(unit)
-
-    def _accept_units_bulk(self, units: list["ComputeUnit"]) -> None:
-        """Batched acceptance: one state transition and one staging event
-        per batch.  Notional sandboxes are only registered for units that
-        actually stage data, so a million no-staging units do not allocate
-        a million ``Path`` objects."""
+        Each batch (see :meth:`UnitStore.batches`) enters
+        AGENT_STAGING_INPUT and starts staging before the next one;
+        units wider than the pilot fail at once.
+        """
         store = self.session.unit_store
-        fit: list["ComputeUnit"] = []
-        for unit in units:
-            if unit.description.cores > self.slots.total_cores:
-                unit.advance(UnitState.FAILED)
-                unit.exception = SchedulingError(
-                    f"unit {unit.uid} wants {unit.description.cores} cores; "
-                    f"pilot {self.pilot.uid} holds {self.slots.total_cores}"
-                )
-                self._notify_final(unit)
-                continue
-            unit.pilot_uid = self.pilot.uid
-            if (
-                unit.description.input_staging
-                or unit.description.output_staging
+        total = self.slots.total_cores
+        with self._tracer.span("agent.submit", self.pilot.uid, n=len(units)):
+            for batch in store.batches(
+                units, key=lambda u: u.description.cores <= total
             ):
-                self.stager.register_unit(unit)
-            fit.append(unit)
-        if not fit:
-            return
-        store.advance_many(fit, UnitState.AGENT_STAGING_INPUT)
-        self.stager.stage_in_bulk(fit, self._on_staged_in_bulk)
-
-    def _on_staged_in_bulk(self, units: list["ComputeUnit"]) -> None:
-        if self._cancelled:
-            cancelled = [u for u in units if u.uid in self._cancelled]
-            if cancelled:
-                units = [u for u in units if u.uid not in self._cancelled]
-                self.session.unit_store.advance_many(
-                    cancelled, UnitState.CANCELED
-                )
-                for unit in cancelled:
-                    self._notify_final(unit)
-        if not units:
-            return
-        self.session.unit_store.advance_many(units, UnitState.AGENT_SCHEDULING)
-        with self._lock:
-            for unit in units:
-                self._waiting_add(unit)
-        self._reschedule()
+                if batch[0].description.cores > total:
+                    for unit in batch:
+                        unit.advance(UnitState.FAILED)
+                        unit.exception = SchedulingError(
+                            f"unit {unit.uid} wants {unit.description.cores} "
+                            f"cores; pilot {self.pilot.uid} holds {total}"
+                        )
+                        self._notify_final(unit)
+                    continue
+                for unit in batch:
+                    unit.pilot_uid = self.pilot.uid
+                    self.stager.register_unit(unit)
+                store.advance_many(batch, UnitState.AGENT_STAGING_INPUT)
+                try:
+                    self.stager.stage_in(batch, self._on_staged_in)
+                except Exception as exc:  # fails the units, not the agent
+                    self._fail(batch, exc)
 
     def cancel_unit(self, unit: "ComputeUnit") -> None:
         """Cancel a unit; waiting units are dequeued, running ones flagged."""
@@ -338,14 +293,31 @@ class Agent:
 
     # -- internals -----------------------------------------------------------------
 
-    def _on_staged_in(self, unit: "ComputeUnit") -> None:
-        if unit.uid in self._cancelled:
-            unit.advance(UnitState.CANCELED)
-            self._notify_final(unit)
+    def _split_cancelled(
+        self, units: list["ComputeUnit"]
+    ) -> tuple[list["ComputeUnit"], list["ComputeUnit"]]:
+        """*units* as (not cancelled, cancelled)."""
+        if not self._cancelled:
+            return units, []
+        kept: list["ComputeUnit"] = []
+        cancelled: list["ComputeUnit"] = []
+        for unit in units:
+            (cancelled if unit.uid in self._cancelled else kept).append(unit)
+        return kept, cancelled
+
+    def _on_staged_in(self, units: list["ComputeUnit"]) -> None:
+        store = self.session.unit_store
+        units, cancelled = self._split_cancelled(units)
+        if cancelled:
+            store.advance_many(cancelled, UnitState.CANCELED)
+            for unit in cancelled:
+                self._notify_final(unit)
+        if not units:
             return
-        unit.advance(UnitState.AGENT_SCHEDULING)
+        store.advance_many(units, UnitState.AGENT_SCHEDULING)
         with self._lock:
-            self._waiting_add(unit)
+            for unit in units:
+                self._waiting_add(unit)
         self._reschedule()
 
     def _avoid_for(self, unit: "ComputeUnit") -> frozenset[int]:
@@ -411,28 +383,19 @@ class Agent:
             )
             unit.advance(UnitState.FAILED)
             self._notify_final(unit)
-        if not launched:
-            return
-        if self._bulk:
-            store = self.session.unit_store
-            for unit in launched:
-                store.set_attempts(unit._i, store.attempts(unit._i) + 1)
-            # One placement event per pass; per-unit wasted-time
-            # bookkeeping (_launch_times) is skipped — bulk mode
-            # excludes the fault machinery that consumes it.
-            self.session.prof.event(
-                "units_slots", launched[0].uid,
-                n=len(launched), pilot=self.pilot.uid,
-            )
-            self.executor.launch_units(launched, self._on_units_done)
-            return
-        for unit in launched:
-            unit.attempts += 1
-            self._launch_times[unit.uid] = self.session.now()
-            self.session.prof.event(
-                "unit_slots", unit.uid, slots=len(unit.slots), pilot=self.pilot.uid
-            )
-            self.executor.launch(unit, self._on_unit_done)
+        self._launch(launched)
+
+    def _launch(self, launched: list["ComputeUnit"]) -> None:
+        """Record the placement of each batch of *launched*, then hand the
+        batch to the executor."""
+        store = self.session.unit_store
+        for batch in store.batches(launched):
+            cores = 0
+            for unit in batch:
+                unit.attempts += 1
+                cores += len(unit.slots)
+            store.record("slots", batch, slots=cores, pilot=self.pilot.uid)
+            self.executor.launch_units(batch, self._on_units_done)
 
     def _place(
         self, unit: "ComputeUnit", slots: list[int],
@@ -568,13 +531,12 @@ class Agent:
 
     def _kill_unit(self, unit: "ComputeUnit", node: int | None) -> None:
         """Tear down one in-flight unit whose node (or whole pilot) died."""
-        self.executor.kill(unit)
+        launched_at = self.executor.kill(unit)
         with self._lock:
             self._executing.pop(unit.uid, None)
             if unit.slots:
                 self.slots.dealloc(unit.slots)
                 unit.slots = []
-        launched_at = self._launch_times.pop(unit.uid, None)
         wasted = (
             self.session.now() - launched_at if launched_at is not None else 0.0
         )
@@ -604,70 +566,44 @@ class Agent:
             unit.advance(UnitState.FAILED)
             self._notify_final(unit)
 
-    def _on_unit_done(
-        self,
-        unit: "ComputeUnit",
-        ok: bool,
-        result: Any,
-        exception: BaseException | None,
+    def _on_units_done(
+        self, units: list["ComputeUnit"], exception: BaseException | None
     ) -> None:
-        with self._lock:
-            self._executing.pop(unit.uid, None)
-            self._launch_times.pop(unit.uid, None)
-            if unit.slots:
-                self.slots.dealloc(unit.slots)
-        if not ok:
-            unit.exception = exception
-            unit.advance(UnitState.FAILED)
-            self._notify_final(unit)
-            self._reschedule()
-            return
-        unit.result = result
-        unit.advance(UnitState.AGENT_STAGING_OUTPUT)
-        try:
-            self.stager.stage_out(unit, lambda u=unit: self._on_staged_out(u))
-        except Exception as exc:  # staging failure fails the unit, not the agent
-            unit.exception = exc
-            unit.advance(UnitState.FAILED)
-            self._notify_final(unit)
-        self._reschedule()
-
-    def _on_units_done(self, units: list["ComputeUnit"]) -> None:
-        """Bulk completion from the executor (always successful: bulk
-        mode excludes fault injection, and modelled runs cannot fail)."""
+        """Executor completion: *units* finished together, or one unit
+        failed with *exception*."""
         with self._lock:
             for unit in units:
                 self._executing.pop(unit.uid, None)
                 slots = unit.slots
                 if slots:
                     self.slots.dealloc(slots)
-        self.session.unit_store.advance_many(
-            units, UnitState.AGENT_STAGING_OUTPUT
-        )
-        self.stager.stage_out_bulk(units, self._on_staged_out_bulk)
+        if exception is not None:
+            self._fail(units, exception)
+        else:
+            self.session.unit_store.advance_many(
+                units, UnitState.AGENT_STAGING_OUTPUT
+            )
+            try:
+                self.stager.stage_out(units, self._on_staged_out)
+            except Exception as exc:  # fails the units, not the agent
+                self._fail(units, exc)
         self._reschedule()
 
-    def _on_staged_out_bulk(self, units: list["ComputeUnit"]) -> None:
+    def _on_staged_out(self, units: list["ComputeUnit"]) -> None:
         store = self.session.unit_store
-        if self._cancelled:
-            cancelled = [u for u in units if u.uid in self._cancelled]
-            if cancelled:
-                finished = [u for u in units if u.uid not in self._cancelled]
-                store.advance_many(finished, UnitState.DONE)
-                store.advance_many(cancelled, UnitState.CANCELED)
-                for unit in units:
-                    self._notify_final(unit)
-                return
-        store.advance_many(units, UnitState.DONE)
+        finished, cancelled = self._split_cancelled(units)
+        if finished:
+            store.advance_many(finished, UnitState.DONE)
+        if cancelled:
+            store.advance_many(cancelled, UnitState.CANCELED)
         for unit in units:
             self._notify_final(unit)
 
-    def _on_staged_out(self, unit: "ComputeUnit") -> None:
-        if unit.uid in self._cancelled:
-            unit.advance(UnitState.CANCELED)
-        else:
-            unit.advance(UnitState.DONE)
-        self._notify_final(unit)
+    def _fail(self, units: list["ComputeUnit"], exc: BaseException) -> None:
+        for unit in units:
+            unit.exception = exc
+            unit.advance(UnitState.FAILED)
+            self._notify_final(unit)
 
     def _notify_final(self, unit: "ComputeUnit") -> None:
         if self._unit_final_cb is not None:

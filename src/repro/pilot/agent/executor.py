@@ -1,12 +1,15 @@
 """Unit executors: really run payloads, or model them on the virtual clock.
 
-Both executors expose one method::
+Both executors expose::
 
-    launch(unit, on_done)   # on_done(unit, ok: bool, result, exception)
+    launch_units(units, on_done)   # on_done(units, exception)
+    kill(unit)                     # -> launch instant, or None
 
-and are responsible for advancing the unit into ``EXECUTING`` at the moment
-user code (really or notionally) starts.  The agent never needs to know
-which mode it is running in.
+and are responsible for advancing units into ``EXECUTING`` at the moment
+user code (really or notionally) starts.  ``on_done`` gets the units that
+finished together, with ``exception=None``, or one failed unit with its
+exception; a unit's result is stored on it before.  The agent never needs
+to know which mode it is running in.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ __all__ = ["TaskContext", "LocalExecutor", "SimExecutor"]
 
 log = get_logger("pilot.agent.executor")
 
-DoneCallback = Callable[["ComputeUnit", bool, Any, BaseException | None], None]
+DoneCallback = Callable[[list["ComputeUnit"], BaseException | None], None]
 
 
 @dataclass
@@ -95,9 +98,11 @@ class LocalExecutor:
         self._tracer = getattr(session, "tracer", None) or Tracer(None)
         self._metrics = getattr(session, "metrics", None)
 
-    def launch(self, unit: "ComputeUnit", on_done: DoneCallback) -> None:
-        get_launch_method(unit.description)  # validates cores/mpi coherence
-        self._pool.submit(self._run, unit, on_done)
+    def launch_units(self, units: list["ComputeUnit"],
+                     on_done: DoneCallback) -> None:
+        for unit in units:
+            get_launch_method(unit.description)  # validates cores/mpi coherence
+            self._pool.submit(self._run, unit, on_done)
 
     def _run(self, unit: "ComputeUnit", on_done: DoneCallback) -> None:
         unit.advance(UnitState.EXECUTING)
@@ -112,12 +117,13 @@ class LocalExecutor:
                     result = unit.description.payload(TaskContext.for_unit(unit))
         except BaseException as exc:  # noqa: BLE001 - task failure is data
             log.debug("unit %s payload failed: %r", unit.uid, exc)
-            on_done(unit, False, None, exc)
+            on_done([unit], exc)
             return
         finally:
             if self._metrics is not None and unit.pilot_uid:
                 self._metrics.adjust(f"agent.{unit.pilot_uid}.cores_busy", -cores)
-        on_done(unit, True, result, None)
+        unit.result = result
+        on_done([unit], None)
 
     def kill(self, unit: "ComputeUnit") -> None:
         """Real threads cannot be killed mid-payload; kills are sim-only."""
@@ -128,6 +134,26 @@ class LocalExecutor:
             self._pool.shutdown(wait=False, cancel_futures=True)
 
 
+class _Launch:
+    """Units launched together: one DES event, launch span, launch
+    instant and busy-cores gauge.  Killed units leave the batch; the rest
+    carry on."""
+
+    __slots__ = ("units", "live", "cores", "gauge", "event", "span",
+                 "started", "launched_at")
+
+    def __init__(self, units: list["ComputeUnit"], gauge: str | None,
+                 span: str, launched_at: float) -> None:
+        self.units = units
+        self.live = len(units)
+        self.cores = sum(u.description.cores for u in units)
+        self.gauge = gauge
+        self.event: Any = None
+        self.span = span
+        self.started = False
+        self.launched_at = launched_at
+
+
 class SimExecutor:
     """Model payload execution as a timed event on the virtual clock.
 
@@ -136,6 +162,10 @@ class SimExecutor:
     *evaluated* when ``evaluate_payloads`` is set — useful for validating
     science results at small scale while keeping virtual timing — but by
     default they are skipped.
+
+    The units of one launch call move as batches of equal ``(overhead,
+    runtime, fault offset)``, so a unit that draws a task fault gets a
+    batch of its own.
     """
 
     def __init__(self, session: "Session", *, evaluate_payloads: bool = False) -> None:
@@ -144,161 +174,145 @@ class SimExecutor:
         self.session = session
         self.context = session.sim_context
         self.evaluate_payloads = evaluate_payloads
-        #: Pending launch/finish event per in-flight unit, so a node or
-        #: pilot failure can kill the execution before it completes.
-        self._inflight: dict[str, Any] = {}
         self._tracer = getattr(session, "tracer", None) or Tracer(None)
         self._metrics = getattr(session, "metrics", None)
-        #: Units whose modelled execution has started (busy-core gauge
-        #: accounting: kills must only decrement after start()).
-        self._busy: set[str] = set()
-        #: Open ``exec.launch`` span per unit not yet started, so kills
-        #: close the span at kill time instead of trace end.
-        self._launch_spans: dict[str, str] = {}
-        #: Live bulk launch/exec groups (handle id -> handle dict whose
-        #: "event" key is the pending DES event), for shutdown cancellation.
-        self._groups: dict[int, dict[str, Any]] = {}
+        #: In-flight batch per unit row, so a node or pilot failure can
+        #: take a unit out of its batch before the batch completes.
+        self._launch_of: dict[int, _Launch] = {}
 
-    def _adjust_busy(self, unit: "ComputeUnit", delta: int) -> None:
-        if self._metrics is not None and unit.pilot_uid:
-            self._metrics.adjust(
-                f"agent.{unit.pilot_uid}.cores_busy",
-                delta * unit.description.cores,
-            )
+    def _adjust_busy(self, batch: _Launch, cores: int) -> None:
+        if batch.gauge is not None:
+            self._metrics.adjust(batch.gauge, cores)
 
     def launch(self, unit: "ComputeUnit", on_done: DoneCallback) -> None:
-        method = get_launch_method(unit.description)
+        """Launch one unit: a batch of one."""
+        self._launch([unit], on_done)
+
+    def launch_units(self, units: list["ComputeUnit"],
+                     on_done: DoneCallback) -> None:
+        """Launch *units*: one DES event per batch of equal parameters."""
+        self._launch(units, on_done)
+
+    def _launch(self, units: list["ComputeUnit"], on_done: DoneCallback) -> None:
         platform = self.context.platform
-        overhead = method.launch_overhead(unit.description.cores, platform)
-        runtime = unit.description.modelled_runtime(platform) / platform.node.core_speed
+        faults = self.session.fault_model
+        draw = faults.draw if faults.enabled else None
+        batches: dict[tuple[float, float, float | None],
+                      list["ComputeUnit"]] = {}
+        for unit in units:
+            desc = unit.description
+            overhead = get_launch_method(desc).launch_overhead(
+                desc.cores, platform
+            )
+            runtime = desc.modelled_runtime(platform) / platform.node.core_speed
+            offset = draw(runtime) if draw else None
+            batches.setdefault((overhead, runtime, offset), []).append(unit)
+        for params, batch in batches.items():
+            self._launch_batch(batch, *params, on_done)
+
+    def _launch_batch(self, units: list["ComputeUnit"], overhead: float,
+                      runtime: float, fault_offset: float | None,
+                      on_done: DoneCallback) -> None:
         sim = self.context.sim
-        fault_offset = self.session.fault_model.draw(runtime)
-        self._launch_spans[unit.uid] = self._tracer.begin(
-            "exec.launch", unit.uid
+        uid = units[0].uid
+        pilot_uid = units[0].pilot_uid
+        batch = _Launch(
+            units,
+            f"agent.{pilot_uid}.cores_busy"
+            if self._metrics is not None and pilot_uid else None,
+            self._tracer.begin("exec.launch", uid),
+            self.session.now(),
         )
+        for unit in units:
+            self._launch_of[unit._i] = batch
 
         def start() -> None:
-            self._tracer.end(self._launch_spans.pop(unit.uid, ""))
-            unit.advance(UnitState.EXECUTING)
-            self._busy.add(unit.uid)
-            self._adjust_busy(unit, 1)
+            self._tracer.end(batch.span)
+            batch.span = ""
+            self.session.unit_store.advance_many(
+                self._live(batch), UnitState.EXECUTING
+            )
+            batch.started = True
+            self._adjust_busy(batch, batch.cores)
             if fault_offset is not None:
-                self._inflight[unit.uid] = sim.schedule(
-                    fault_offset, fail, label=f"fault:{unit.uid}"
-                )
+                batch.event = sim.schedule(fault_offset, fail,
+                                           label=f"fault:{uid}")
             else:
-                self._inflight[unit.uid] = sim.schedule(
-                    runtime, finish, label=f"exec:{unit.uid}"
-                )
+                batch.event = sim.schedule(runtime, finish,
+                                           label=f"exec:{uid}")
 
         def fail() -> None:
             from repro.pilot.faults import TaskFault
 
-            self._inflight.pop(unit.uid, None)
-            self._busy.discard(unit.uid)
-            self._adjust_busy(unit, -1)
-            self.session.prof.event("task_fault", unit.uid,
-                                    at=fault_offset, runtime=runtime)
-            on_done(unit, False, None,
-                    TaskFault(f"injected fault in {unit.uid}"))
+            for unit in self._close(batch):
+                self.session.prof.event("task_fault", unit.uid,
+                                        at=fault_offset, runtime=runtime)
+                on_done([unit], TaskFault(f"injected fault in {unit.uid}"))
 
         def finish() -> None:
-            self._inflight.pop(unit.uid, None)
-            self._busy.discard(unit.uid)
-            self._adjust_busy(unit, -1)
-            result = None
-            if self.evaluate_payloads and unit.description.payload is not None:
-                try:
-                    result = unit.description.payload(TaskContext.for_unit(unit))
-                except BaseException as exc:  # noqa: BLE001
-                    on_done(unit, False, None, exc)
-                    return
-            on_done(unit, True, result, None)
+            done = self._close(batch)
+            if self.evaluate_payloads:
+                done = [unit for unit in done if self._evaluate(unit, on_done)]
+            if done:
+                on_done(done, None)
 
-        self._inflight[unit.uid] = sim.schedule(
-            overhead, start, label=f"launch:{unit.uid}"
-        )
+        batch.event = sim.schedule(overhead, start, label=f"launch:{uid}")
 
-    def launch_units(
-        self,
-        units: list["ComputeUnit"],
-        on_done: Callable[[list["ComputeUnit"]], None],
-    ) -> None:
-        """Bulk launch (``Session(bulk_lifecycle=True)``): one launch and
-        one finish DES event per homogeneous (overhead, runtime) group.
+    def _live(self, batch: _Launch) -> list["ComputeUnit"]:
+        """The units still in *batch* (dropping killed ones)."""
+        if batch.live < len(batch.units):
+            batch.units = [
+                u for u in batch.units if self._launch_of.get(u._i) is batch
+            ]
+        return batch.units
 
-        Fault injection is excluded by construction (the session rejects
-        the combination), so there is no per-unit fault draw and no
-        per-unit kill bookkeeping; groups are tracked only so
-        :meth:`shutdown` can cancel what is still pending.
-        """
-        platform = self.context.platform
-        sim = self.context.sim
-        store = self.session.unit_store
-        groups: dict[tuple[float, float], list["ComputeUnit"]] = {}
+    def _close(self, batch: _Launch) -> list["ComputeUnit"]:
+        """End *batch*'s execution; returns its units."""
+        units = self._live(batch)
         for unit in units:
-            desc = unit.description
-            method = get_launch_method(desc)
-            overhead = method.launch_overhead(desc.cores, platform)
-            runtime = desc.modelled_runtime(platform) / platform.node.core_speed
-            groups.setdefault((overhead, runtime), []).append(unit)
-        for (overhead, runtime), group in groups.items():
-            cores = sum(u.description.cores for u in group)
-            first_uid = group[0].uid
-            span = self._tracer.begin("exec.launch", first_uid)
-            handle: dict[str, Any] = {}
+            del self._launch_of[unit._i]
+        self._adjust_busy(batch, -batch.cores)
+        return units
 
-            def finish(group=group, cores=cores, handle=handle) -> None:
-                self._groups.pop(id(handle), None)
-                if self._metrics is not None and group[0].pilot_uid:
-                    self._metrics.adjust(
-                        f"agent.{group[0].pilot_uid}.cores_busy", -cores
-                    )
-                on_done(group)
+    @staticmethod
+    def _evaluate(unit: "ComputeUnit", on_done: DoneCallback) -> bool:
+        """Run the unit's payload for its result; a payload that raises
+        fails the unit through *on_done*."""
+        payload = unit.description.payload
+        if payload is not None:
+            try:
+                unit.result = payload(TaskContext.for_unit(unit))
+            except BaseException as exc:  # noqa: BLE001
+                on_done([unit], exc)
+                return False
+        return True
 
-            # finish must be default-bound, not a free variable: start runs
-            # after this loop has moved on, when the enclosing `finish`
-            # name already points at the *last* group's callback.
-            def start(group=group, runtime=runtime, cores=cores,
-                      span=span, first_uid=first_uid,
-                      handle=handle, finish=finish) -> None:
-                self._tracer.end(span)
-                store.advance_many(group, UnitState.EXECUTING)
-                if self._metrics is not None and group[0].pilot_uid:
-                    self._metrics.adjust(
-                        f"agent.{group[0].pilot_uid}.cores_busy", cores
-                    )
-                handle["event"] = sim.schedule(
-                    runtime, finish, label=f"exec*{len(group)}:{first_uid}"
-                )
+    def kill(self, unit: "ComputeUnit") -> float | None:
+        """Take *unit* out of its batch (node/pilot death); returns the
+        batch's launch instant, or ``None`` if the unit is not in flight.
 
-            handle["event"] = sim.schedule(
-                overhead, start, label=f"launch*{len(group)}:{first_uid}"
-            )
-            self._groups[id(handle)] = handle
-
-    def kill(self, unit: "ComputeUnit") -> None:
-        """Cancel the unit's pending execution event (node/pilot death).
-
-        The unit's ``on_done`` is *not* invoked: the caller owns the
-        failure handling (requeue or fail), exactly like a real node crash
-        produces no exit status.
+        The batch's pending event is cancelled and its launch span closed
+        once no unit is left in it.  The unit's ``on_done`` is *not*
+        invoked: the caller owns the failure handling (requeue or fail),
+        exactly like a real node crash produces no exit status.
         """
-        event = self._inflight.pop(unit.uid, None)
-        if event is not None:
-            self.context.sim.cancel(event)
-        self._tracer.end(self._launch_spans.pop(unit.uid, ""))
-        if unit.uid in self._busy:
-            self._busy.discard(unit.uid)
-            self._adjust_busy(unit, -1)
+        batch = self._launch_of.pop(unit._i, None)
+        if batch is None:
+            return None
+        batch.live -= 1
+        if not batch.live:
+            self.context.sim.cancel(batch.event)
+            self._tracer.end(batch.span)
+        cores = unit.description.cores
+        batch.cores -= cores
+        if batch.started:
+            self._adjust_busy(batch, -cores)
+        return batch.launched_at
 
     def shutdown(self) -> None:  # symmetry with LocalExecutor
-        for event in self._inflight.values():
-            self.context.sim.cancel(event)
-        self._inflight.clear()
-        for handle in self._groups.values():
-            self.context.sim.cancel(handle["event"])
-        self._groups.clear()
-        for uid in sorted(self._launch_spans):
-            self._tracer.end(self._launch_spans[uid])
-        self._launch_spans.clear()
+        launches = {id(batch): batch for batch in self._launch_of.values()}
+        for batch in launches.values():
+            self.context.sim.cancel(batch.event)
+        for batch in sorted(launches.values(), key=lambda b: b.units[0].uid):
+            self._tracer.end(batch.span)
+        self._launch_of.clear()

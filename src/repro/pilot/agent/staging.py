@@ -10,6 +10,8 @@ may use placeholders:
 
 The local stager really links/copies files; the simulated stager charges
 modelled transfer time against the platform's shared-filesystem model.
+Both stage a batch of units (see :meth:`UnitStore.batches`) and call
+``done(units)`` with the units that finished together.
 """
 
 from __future__ import annotations
@@ -25,7 +27,10 @@ from repro.utils.logger import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pilot.unit import ComputeUnit
+    from repro.pilot.unit_store import UnitStore
     from repro.saga.adaptors.sim import SimContext
+
+Done = Callable[[list["ComputeUnit"]], None]
 
 __all__ = ["resolve_placeholders", "LocalStager", "SimStager"]
 
@@ -85,34 +90,44 @@ class LocalStager:
             else:
                 shutil.copy2(source, target)
 
-    def stage_in(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
-        sandbox = self.unit_sandboxes[unit.uid]
-        with self._tracer.span("agent.stage_in", unit.uid,
-                               n=len(unit.description.input_staging)):
-            for directive in unit.description.input_staging:
-                self._apply(directive, self.pilot_sandbox, sandbox)
-        done()
+    def stage_in(self, units: list["ComputeUnit"], done: Done) -> None:
+        for unit in units:
+            sandbox = self.unit_sandboxes[unit.uid]
+            with self._tracer.span("agent.stage_in", unit.uid,
+                                   n=len(unit.description.input_staging)):
+                for directive in unit.description.input_staging:
+                    self._apply(directive, self.pilot_sandbox, sandbox)
+        done(units)
 
-    def stage_out(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
-        sandbox = self.unit_sandboxes[unit.uid]
-        with self._tracer.span("agent.stage_out", unit.uid,
-                               n=len(unit.description.output_staging)):
-            for directive in unit.description.output_staging:
-                self._apply(directive, sandbox, self.pilot_sandbox)
-        done()
+    def stage_out(self, units: list["ComputeUnit"], done: Done) -> None:
+        for unit in units:
+            sandbox = self.unit_sandboxes[unit.uid]
+            with self._tracer.span("agent.stage_out", unit.uid,
+                                   n=len(unit.description.output_staging)):
+                for directive in unit.description.output_staging:
+                    self._apply(directive, sandbox, self.pilot_sandbox)
+        done(units)
 
 
 class SimStager:
-    """Charge modelled transfer time on the virtual clock."""
+    """Charge modelled transfer time on the virtual clock: one span and
+    one DES event per batch, cut by transfer cost (see
+    :meth:`~repro.pilot.unit_store.UnitStore.batches`)."""
 
-    def __init__(self, context: "SimContext", tracer: Tracer | None = None) -> None:
+    def __init__(self, context: "SimContext", store: "UnitStore",
+                 tracer: Tracer | None = None) -> None:
         self.context = context
         self.unit_sandboxes: dict[str, Path] = {}
+        self._store = store
         self._tracer = tracer or Tracer(None)
 
-    def register_unit(self, unit: "ComputeUnit") -> Path:
-        # Sandboxes are notional under simulation; remember a fake path so
-        # placeholder resolution still validates unit references.
+    def register_unit(self, unit: "ComputeUnit") -> Path | None:
+        """Remember a notional sandbox for a unit that stages data, so
+        placeholder paths can name it; units without staging directives
+        get none (nothing under simulation reads it)."""
+        desc = unit.description
+        if not (desc.input_staging or desc.output_staging):
+            return None
         sandbox = Path("/sim") / unit.uid
         self.unit_sandboxes[unit.uid] = sandbox
         unit.sandbox = str(sandbox)
@@ -127,79 +142,27 @@ class SimStager:
             total += fs.transfer_time(directive.nbytes)
         return total
 
-    def _timed(self, name: str, unit: "ComputeUnit", cost: float,
-               done: Callable[[], None]) -> None:
-        span = self._tracer.begin(name, unit.uid)
-
-        def finish() -> None:
-            self._tracer.end(span)
-            done()
-
-        self.context.sim.schedule(
-            cost, finish, label=f"{name.partition('.')[2]}:{unit.uid}"
-        )
-
-    def stage_in(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
-        self._timed("agent.stage_in", unit,
-                    self._cost(unit.description.input_staging), done)
-
-    def stage_out(self, unit: "ComputeUnit", done: Callable[[], None]) -> None:
-        self._timed("agent.stage_out", unit,
-                    self._cost(unit.description.output_staging), done)
-
-    # -- bulk lifecycle -----------------------------------------------------
-
-    def _timed_bulk(
-        self,
-        name: str,
-        units: list["ComputeUnit"],
-        costs: dict[float, list["ComputeUnit"]],
-        done: Callable[[list["ComputeUnit"]], None],
-    ) -> None:
-        """One span and one DES event per *cost group* instead of per unit.
-
-        The common case — no staging directives anywhere — is a single
-        zero-cost group, i.e. one event for the entire batch.
-        """
+    def _timed(self, name: str, attr: str, units: list["ComputeUnit"],
+               done: Done) -> None:
         sim = self.context.sim
         kind = name.partition(".")[2]
-        for cost, group in costs.items():
-            span = self._tracer.begin(name, group[0].uid)
 
-            def finish(group=group, span=span) -> None:
-                self._tracer.end(span)
-                done(group)
-
-            sim.schedule(
-                cost, finish, label=f"{kind}*{len(group)}:{group[0].uid}"
-            )
-
-    def _cost_groups(
-        self, units: list["ComputeUnit"], attr: str
-    ) -> dict[float, list["ComputeUnit"]]:
-        groups: dict[float, list["ComputeUnit"]] = {}
-        for unit in units:
+        def cost(unit: "ComputeUnit") -> float:
             directives = getattr(unit.description, attr)
-            cost = self._cost(directives) if directives else 0.0
-            groups.setdefault(cost, []).append(unit)
-        return groups
+            return self._cost(directives) if directives else 0.0
 
-    def stage_in_bulk(
-        self,
-        units: list["ComputeUnit"],
-        done: Callable[[list["ComputeUnit"]], None],
-    ) -> None:
-        self._timed_bulk(
-            "agent.stage_in", units,
-            self._cost_groups(units, "input_staging"), done,
-        )
+        for batch in self._store.batches(units, key=cost):
+            delay = cost(batch[0])
+            span = self._tracer.begin(name, batch[0].uid)
 
-    def stage_out_bulk(
-        self,
-        units: list["ComputeUnit"],
-        done: Callable[[list["ComputeUnit"]], None],
-    ) -> None:
-        self._timed_bulk(
-            "agent.stage_out", units,
-            self._cost_groups(units, "output_staging"), done,
-        )
+            def finish(batch=batch, span=span) -> None:
+                self._tracer.end(span)
+                done(batch)
+
+            sim.schedule(delay, finish, label=f"{kind}:{batch[0].uid}")
+
+    def stage_in(self, units: list["ComputeUnit"], done: Done) -> None:
+        self._timed("agent.stage_in", "input_staging", units, done)
+
+    def stage_out(self, units: list["ComputeUnit"], done: Done) -> None:
+        self._timed("agent.stage_out", "output_staging", units, done)

@@ -71,11 +71,13 @@ class Session:
         metrics registry keeps running aggregates instead of resident
         point lists.  Trace *content* is bit-identical either way.
     bulk_lifecycle:
-        Opt-in batched unit lifecycle: homogeneous batches move through
-        the state machine with one profiler append and one metrics
-        update per batch (``units_new``/``units_state`` events instead
-        of per-unit events).  Sim mode only; coarsens the trace, so it
-        is off for every published-figure run.
+        How finely units are cut into the batches every lifecycle stage
+        moves (see :meth:`~repro.pilot.unit_store.UnitStore.batches`).
+        Off: one unit per batch and a per-unit trace, as every
+        published-figure run needs.  On (sim mode only): units that
+        share a stage's key move together, with one ``units_new`` /
+        ``units_state`` / ``units_slots`` record, one metrics update and
+        one DES event per batch.  Fault injection works either way.
     """
 
     def __init__(
@@ -99,12 +101,6 @@ class Session:
         if bulk_lifecycle and mode != "sim":
             raise ConfigurationError(
                 "bulk_lifecycle is a simulated-mode feature"
-            )
-        if bulk_lifecycle and (fault_rate or node_mtbf or pilot_mtbf):
-            # Fault recovery needs per-unit kill/requeue bookkeeping that
-            # batched transitions deliberately skip.
-            raise ConfigurationError(
-                "bulk_lifecycle is incompatible with fault injection"
             )
         if pilot_mtbf < 0:
             raise ConfigurationError("pilot mtbf must be non-negative")

@@ -43,7 +43,7 @@ class ComputeUnit:
 
     @classmethod
     def _of(cls, store: UnitStore, i: int) -> "ComputeUnit":
-        """View over an already registered row (the bulk path)."""
+        """View over an already registered row."""
         unit = object.__new__(cls)
         unit._store = store
         unit._i = i

@@ -72,9 +72,6 @@ class UnitManager:
             raise PilotError("unit manager has no pilots")
         if isinstance(descriptions, ComputeUnitDescription):
             descriptions = [descriptions]
-        if getattr(self.session, "bulk_lifecycle", False):
-            return self._submit_units_bulk(descriptions, callback, extra_delay)
-
         store = self.session.unit_store
         units: list[ComputeUnit] = []
         routing: dict[str, tuple[ComputePilot, list[ComputeUnit]]] = {}
@@ -82,58 +79,24 @@ class UnitManager:
             "umgr.submit", self.uid, n=len(descriptions)
         ):
             group = store.callback_group(callback)
-            for description in descriptions:
-                unit = ComputeUnit._of(store, store.add(description, group))
-                self.session.prof.event(
-                    "unit_new", unit.uid,
-                    pattern=description.tags.get("pattern", ""),
+            for batch in store.batches(descriptions):
+                fresh = [
+                    ComputeUnit._of(store, i)
+                    for i in store.add_bulk(batch, group)
+                ]
+                store.record(
+                    "new", fresh, pattern=batch[0].tags.get("pattern", "")
                 )
-                unit.advance(UnitState.UMGR_SCHEDULING)
-                pilot = self._pick_pilot(description)
-                routing.setdefault(pilot.uid, (pilot, []))[1].append(unit)
-                units.append(unit)
+                store.advance_many(fresh, UnitState.UMGR_SCHEDULING)
+                for unit in fresh:
+                    pilot = self._pick_pilot(unit.description)
+                    routing.setdefault(pilot.uid, (pilot, []))[1].append(unit)
+                units += fresh
             with self._lock:
                 self.units.extend(units)
 
-            for pilot, batch in routing.values():
-                self._forward(pilot, batch, extra_delay)
-        return units
-
-    def _submit_units_bulk(
-        self,
-        descriptions: list[ComputeUnitDescription],
-        callback: Callable[[ComputeUnit, UnitState], Any] | None,
-        extra_delay: float,
-    ) -> list[ComputeUnit]:
-        """Batched submission (``Session(bulk_lifecycle=True)``).
-
-        One columnar registration, one ``units_new`` event, one shared
-        callback group and one ``units_state`` transition cover the whole
-        batch; routing and forwarding are unchanged.  The trace is
-        deliberately coarser than the per-unit path's — this is the
-        million-unit envelope, not the published-figure path.
-        """
-        store = self.session.unit_store
-        with self.session.tracer.span(
-            "umgr.submit", self.uid, n=len(descriptions)
-        ):
-            rows = store.add_bulk(descriptions, store.callback_group(callback))
-            units = [ComputeUnit._of(store, i) for i in rows]
-            if units:
-                self.session.prof.event(
-                    "units_new", units[0].uid, n=len(units),
-                    last=units[-1].uid,
-                    pattern=descriptions[0].tags.get("pattern", ""),
-                )
-            store.advance_many(units, UnitState.UMGR_SCHEDULING)
-            routing: dict[str, tuple[ComputePilot, list[ComputeUnit]]] = {}
-            for unit in units:
-                pilot = self._pick_pilot(unit.description)
-                routing.setdefault(pilot.uid, (pilot, []))[1].append(unit)
-            with self._lock:
-                self.units.extend(units)
-            for pilot, batch in routing.values():
-                self._forward(pilot, batch, extra_delay)
+            for pilot, routed in routing.values():
+                self._forward(pilot, routed, extra_delay)
         return units
 
     def _pick_pilot(self, description: ComputeUnitDescription) -> ComputePilot:

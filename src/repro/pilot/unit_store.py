@@ -11,16 +11,17 @@ wait events) in side dicts that only pay for units that actually use
 them.  :class:`~repro.pilot.unit.ComputeUnit` is a two-word view over
 one row, so the public unit API is unchanged.
 
-Two write paths share the columns:
+Every lifecycle stage moves a *batch* of units, and one unit is a batch
+of one.  :meth:`UnitStore.batches` decides how finely a stage's units
+are cut, and the store decides which record a batch writes; it is the
+only place that reads ``Session(bulk_lifecycle=...)``:
 
-* the classic per-unit path (``add``/``advance``) emits exactly the
-  events and metric points the object implementation emitted, in the
-  same order — the golden-trace hashes pin this;
-* the bulk path (``add_bulk``/``advance_many``) moves homogeneous
-  batches with one profiler append and one metrics update per batch.
-  It is opt-in (``Session(bulk_lifecycle=True)``) because it
-  intentionally coarsens the trace: per-unit ``unit_state`` events
-  become per-batch ``units_state`` events.
+* fine (the default): every unit is its own batch and writes the
+  per-unit ``unit_new``/``unit_state``/``unit_slots`` records, in the
+  order the golden-trace hashes pin;
+* coarse (``bulk_lifecycle=True``, sim only): units sharing a key move
+  together with one ``units_new``/``units_state``/``units_slots``
+  record, one metrics update and one DES event per batch.
 
 Unit uids are *lazy*: the store reserves serial blocks from the global
 id counter (:func:`repro.utils.ids.reserve_id_block`) and formats
@@ -113,6 +114,9 @@ class UnitStore:
     def __init__(self, session: Any) -> None:
         self._session = session
         self._metrics = getattr(session, "metrics", None)
+        #: Batch granularity: coarse batches group units by key (see
+        #: :meth:`batches`); fine ones hold a single unit.
+        self._coarse = bool(getattr(session, "bulk_lifecycle", False))
         # One coarse lock replaces the historical per-unit locks: the
         # only concurrent writers are local-mode executor threads, and
         # they contend for the profiler's single lock anyway.
@@ -157,36 +161,14 @@ class UnitStore:
 
     def add(self, description: "ComputeUnitDescription",
             group: int = -1) -> int:
-        """Register one unit (the classic per-unit path); returns its row.
-
-        *group* is a final-state callback group from
-        :meth:`callback_group` (``-1``: none).
-        """
-        description.validate()
-        serial = reserve_id_block("unit", 1)
-        now = self._session.now()
-        i = len(self._serial)
-        self._serial.append(serial)
-        self._state.append(_STATE_INDEX[UnitState.NEW])
-        self._cores.append(description.cores)
-        self._attempts.append(0)
-        self._pilot.append(-1)
-        self._cb_group.append(group)
-        self._slots_off.append(0)
-        self._slots_len.append(0)
-        for state in _STATES:
-            self._ts[state.value].append(
-                now if state is UnitState.NEW else nan
-            )
-        self._descriptions.append(description)
-        if self._metrics is not None:
-            self._metrics.adjust("units.NEW", 1)
-        return i
+        """Register one unit; returns its row (see :meth:`add_bulk`)."""
+        return self.add_bulk([description], group)[0]
 
     def add_bulk(self, descriptions: Iterable["ComputeUnitDescription"],
                  group: int = -1) -> range:
         """Register a batch: one id-block reservation, one extension of
-        each column, one metrics update.  *group* is as for :meth:`add`."""
+        each column, one metrics update.  *group* is a final-state
+        callback group from :meth:`callback_group` (``-1``: none)."""
         descriptions = list(descriptions)
         for description in descriptions:
             description.validate()
@@ -369,37 +351,59 @@ class UnitStore:
 
     # -- lifecycle ----------------------------------------------------------
 
+    def batches(self, units: Iterable[Any],
+                key: Callable[[Any], Any] | None = None) -> Iterator[list]:
+        """Cut *units* into the batches a lifecycle stage moves together.
+
+        Fine: one batch per unit, in order.  Coarse: one batch per *key*
+        value, in order of first appearance (``key=None``: one batch).
+        A stage finishes a batch before it starts the next: spans and
+        metric points are trace events with global ids, so a fine run
+        traces unit by unit, as the golden hashes pin.
+        """
+        if not self._coarse:
+            for unit in units:
+                yield [unit]
+            return
+        if key is None:
+            units = list(units)
+            if units:
+                yield units
+            return
+        groups: dict[Any, list] = {}
+        for unit in units:
+            groups.setdefault(key(unit), []).append(unit)
+        yield from groups.values()
+
+    def record(self, name: str, units: list["ComputeUnit"], **attrs: Any) -> None:
+        """Write the ``name`` record of one batch from :meth:`batches`:
+        ``unit_<name>`` per unit (fine) or one ``units_<name>`` carrying
+        ``n`` and ``last`` (coarse)."""
+        event = self._session.prof.event
+        if self._coarse:
+            event(f"units_{name}", self.uid(units[0]._i), n=len(units),
+                  last=self.uid(units[-1]._i), **attrs)
+            return
+        for unit in units:
+            event(f"unit_{name}", self.uid(unit._i), **attrs)
+
     def advance(self, unit: "ComputeUnit", target: UnitState) -> None:
-        """Classic single-unit transition; emission order is pinned by the
-        golden traces: stamp → ``unit_state`` event → gauge adjustments →
-        callbacks → final-event set."""
-        i = unit._i
-        session = self._session
-        with self._lock:
-            previous = _STATES[self._state[i]]
-            validate_unit_edge(f"ComputeUnit {self.uid(i)}", previous, target)
-            self._state[i] = _STATE_INDEX[target]
-            self._ts[target.value][i] = session.now()
-            callbacks = self._callbacks(i, target)
-        session.prof.event("unit_state", self.uid(i), state=target.value)
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.adjust(_STATE_GAUGES[previous], -1)
-            metrics.adjust(_STATE_GAUGES[target], 1)
-        for cb in callbacks:
-            cb(unit, target)
-        if target.is_final:
-            with self._lock:
-                event = self._final_events.get(i)
-            if event is not None:
-                event.set()
+        """Move one unit into *target* (see :meth:`_advance_one`)."""
+        self._advance_one(unit, target)
 
     def advance_many(self, units: list["ComputeUnit"], target: UnitState) -> None:
-        """Bulk transition: one ``units_state`` event and one gauge
-        update pair per homogeneous (same current state) group instead
-        of per unit.  Callbacks still fire per unit, in the order
-        :meth:`advance` fires them; a non-final wave with no per-unit
-        callbacks calls nothing."""
+        """Move a batch into *target*.
+
+        Fine: each unit in turn, exactly as :meth:`advance`.  Coarse: one
+        ``units_state`` record and one gauge update pair per homogeneous
+        (same current state) group; callbacks still fire per unit, in the
+        order :meth:`advance` fires them, and a non-final wave with no
+        per-unit callbacks calls nothing.
+        """
+        if not self._coarse:
+            for unit in units:
+                self._advance_one(unit, target)
+            return
         if not units:
             return
         session = self._session
@@ -435,6 +439,31 @@ class UnitStore:
                     event = self._final_events.get(unit._i)
                     if event is not None:
                         event.set()
+
+    def _advance_one(self, unit: "ComputeUnit", target: UnitState) -> None:
+        """One unit's transition; the emission order is pinned by the
+        golden traces: stamp → ``unit_state`` event → gauge adjustments →
+        callbacks → final-event set."""
+        i = unit._i
+        session = self._session
+        with self._lock:
+            previous = _STATES[self._state[i]]
+            validate_unit_edge(f"ComputeUnit {self.uid(i)}", previous, target)
+            self._state[i] = _STATE_INDEX[target]
+            self._ts[target.value][i] = session.now()
+            callbacks = self._callbacks(i, target)
+        session.prof.event("unit_state", self.uid(i), state=target.value)
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.adjust(_STATE_GAUGES[previous], -1)
+            metrics.adjust(_STATE_GAUGES[target], 1)
+        for cb in callbacks:
+            cb(unit, target)
+        if target.is_final:
+            with self._lock:
+                event = self._final_events.get(i)
+            if event is not None:
+                event.set()
 
 
 def execution_intervals(

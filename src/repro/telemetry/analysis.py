@@ -22,6 +22,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.telemetry.span import Span, SpanTree, component_of
@@ -132,16 +133,17 @@ class CriticalPath:
 def _representative(
     spans: list[Span], t_start: float, t_end: float
 ) -> tuple[str, str]:
-    """The covering span that started earliest (ties: by uid)."""
-    covering = [
-        span
-        for span in spans
-        if span.t_start < t_end and span.t_end > t_start
-    ]
-    if not covering:
-        return "", "wait"
-    covering.sort(key=lambda span: (span.t_start, span.uid))
-    return covering[0].uid, covering[0].name
+    """The covering span that started earliest (ties: by uid), from
+    *spans* sorted by start."""
+    best = None
+    for span in spans:
+        if span.t_start >= t_end or (
+            best is not None and span.t_start > best.t_start
+        ):
+            break
+        if span.t_end > t_start and (best is None or span.uid < best.uid):
+            best = span
+    return ("", "wait") if best is None else (best.uid, best.name)
 
 
 def critical_path(
@@ -185,6 +187,8 @@ def critical_path(
             for start, stop in intervals
         )
     tiles.sort(key=lambda tile: tile[0])
+    for spans in by_component.values():
+        spans.sort(key=attrgetter("t_start"))
 
     segments = []
     for start, stop, component, spans in tiles:

@@ -212,28 +212,7 @@ class _ReferenceAgent(Agent):
             )
             unit.advance(UnitState.FAILED)
             self._notify_final(unit)
-        if not launched:
-            return
-        if self._bulk:
-            store = self.session.unit_store
-            for unit in launched:
-                store.set_attempts(unit._i, store.attempts(unit._i) + 1)
-            # One placement event per pass; per-unit wasted-time
-            # bookkeeping (_launch_times) is skipped — bulk mode
-            # excludes the fault machinery that consumes it.
-            self.session.prof.event(
-                "units_slots", launched[0].uid,
-                n=len(launched), pilot=self.pilot.uid,
-            )
-            self.executor.launch_units(launched, self._on_units_done)
-            return
-        for unit in launched:
-            unit.attempts += 1
-            self._launch_times[unit.uid] = self.session.now()
-            self.session.prof.event(
-                "unit_slots", unit.uid, slots=len(unit.slots), pilot=self.pilot.uid
-            )
-            self.executor.launch(unit, self._on_unit_done)
+        self._launch(launched)
 
     @property
     def waiting_units(self) -> int:
@@ -268,6 +247,18 @@ class _Unit:
 
 
 class _Store:
+    """A fine-granularity unit store: every unit is its own batch."""
+
+    def __init__(self, prof: "_Prof") -> None:
+        self.prof = prof
+
+    def batches(self, units: list, key: Any = None) -> list:
+        return [[unit] for unit in units]
+
+    def record(self, name: str, units: list, **attrs: Any) -> None:
+        for unit in units:
+            self.prof.event(f"unit_{name}", unit.uid, **attrs)
+
     def advance_many(self, units: list, state: UnitState) -> None:
         for unit in units:
             unit.advance(state)
@@ -285,31 +276,34 @@ class _Executor:
     def __init__(self, log: list) -> None:
         self.log = log
 
-    def launch(self, unit: _Unit, on_done: Any) -> None:
-        self.log.append(("launch", unit.uid, tuple(unit.slots)))
+    def launch_units(self, units: list, on_done: Any) -> None:
+        for unit in units:
+            self.log.append(("launch", unit.uid, tuple(unit.slots)))
 
     def kill(self, unit: _Unit) -> None:
         self.log.append(("kill", unit.uid))
+        return None
 
     def shutdown(self) -> None:
         pass
 
 
 class _Stager:
-    def stage_out(self, unit: _Unit, done: Any) -> None:
-        done()
+    def stage_out(self, units: list, done: Any) -> None:
+        done(units)
 
 
 def _make_agent(cls: type, policy: str, strategy: str, cores: int, cpn: int):
     log: list = []
+    prof = _Prof(log)
     session = SimpleNamespace(
         is_simulated=True,
         platform=SimpleNamespace(cores_per_node=cpn),
         sim_context=SimpleNamespace(),
-        prof=_Prof(log),
+        prof=prof,
         node_fault_model=SimpleNamespace(enabled=False),
         retry_policy=SimpleNamespace(exclude_failed_nodes=True),
-        unit_store=_Store(),
+        unit_store=_Store(prof),
         now=lambda: 0.0,
     )
     pilot = SimpleNamespace(uid=PILOT, cores=cores)
@@ -381,15 +375,12 @@ def _step(world, op: str, a: int, b: int, c: int, n: int, cores: int) -> None:
                          _excluded(nnodes, a + j, c + j))
             world.units[unit.uid] = unit
             fresh.append(unit)
-        if op == "arrive":
-            agent._on_staged_in(fresh[0])
-        else:
-            agent._on_staged_in_bulk(fresh)
+        agent._on_staged_in(fresh)
     elif op == "complete":
         running = sorted(agent._executing)
         if running:
             unit = agent._executing[running[a % len(running)]]
-            agent._on_unit_done(unit, True, None, None)
+            agent._on_units_done([unit], None)
     elif op == "fail":
         agent._on_node_failure(a % nnodes)
     elif op == "repair":
@@ -405,7 +396,7 @@ def _step(world, op: str, a: int, b: int, c: int, n: int, cores: int) -> None:
     elif op == "requeue":
         if world.killed:
             unit = world.killed.pop(a % len(world.killed))
-            agent._on_staged_in(unit)
+            agent._on_staged_in([unit])
     elif op == "start":
         if not agent._started:
             agent.start()
@@ -438,8 +429,8 @@ def test_lane_fails_terminally_and_launches(cls):
     narrower one avoiding the same node starts on the other node."""
     world = _make_agent(cls, "backfill", "contiguous", 8, 4)
     world.agent.start()
-    world.agent._on_staged_in(_Unit("wide", 6, {(PILOT, 0)}))
-    world.agent._on_staged_in(_Unit("narrow", 2, {(PILOT, 0)}))
+    world.agent._on_staged_in([_Unit("wide", 6, {(PILOT, 0)})])
+    world.agent._on_staged_in([_Unit("narrow", 2, {(PILOT, 0)})])
     finals = [entry for entry in world.log if entry[0] == "final"]
     assert finals and finals[0][1] == "wide"
     assert "cannot be placed" in finals[0][3]
@@ -452,7 +443,7 @@ def test_failed_bucket_leaves_smaller_ones_tried(cls):
     starts: only buckets of 4 cores or more are known not to fit."""
     world = _make_agent(cls, "backfill", "scattered", 4, 4)
     for uid, width in (("one", 1), ("four", 4), ("three", 3)):
-        world.agent._on_staged_in(_Unit(uid, width, set()))
+        world.agent._on_staged_in([_Unit(uid, width, set())])
     world.agent.start()
     launched = [entry[1] for entry in world.log if entry[0] == "launch"]
     assert launched == ["one", "three"]

@@ -339,6 +339,32 @@ def test_sm002_else_branch_does_not_inherit_guard_state():
     ) == []
 
 
+def test_sm002_tracks_advance_many_on_its_batch():
+    findings = lint_source(
+        textwrap.dedent(
+            """
+            from repro.pilot.states import UnitState
+            def go(store, units):
+                store.advance_many(units, UnitState.DONE)
+                store.advance_many(units, UnitState.EXECUTING)
+            """
+        )
+    )
+    assert [f.rule_id for f in findings] == ["SM002"]
+    assert "DONE -> EXECUTING" in findings[0].message
+
+
+def test_sm002_allows_legal_advance_many_chain():
+    assert _ids(
+        """
+        from repro.pilot.states import UnitState
+        def go(store, units):
+            store.advance_many(units, UnitState.AGENT_STAGING_OUTPUT)
+            store.advance_many(units, UnitState.DONE)
+        """
+    ) == []
+
+
 def test_sm003_flags_direct_state_assignment():
     assert "SM003" in _ids(
         """
@@ -389,6 +415,32 @@ def test_sm004_reports_unproduced_states(tmp_path):
         "PilotState.CANCELED",
     }
     assert all(f.file.endswith("pilot/states.py") for f in sm004)
+
+
+def test_sm004_counts_advance_many_as_a_producer(tmp_path):
+    from repro.lint import LintConfig, lint_paths
+
+    states = tmp_path / "pilot" / "states.py"
+    states.parent.mkdir()
+    states.write_text("# edge tables live here in the real tree\n")
+    producer = tmp_path / "manager.py"
+    producer.write_text(
+        textwrap.dedent(
+            """
+            from repro.pilot.states import PilotState
+            def submit(pilot, store, pilots):
+                pilot.advance(PilotState.PENDING)
+                store.advance_many(pilots, PilotState.ACTIVE)
+            """
+        )
+    )
+    result = lint_paths([tmp_path], LintConfig(root=tmp_path))
+    missing = {
+        f.message.split()[0] for f in result.findings if f.rule_id == "SM004"
+    }
+    assert missing == {
+        "PilotState.DONE", "PilotState.FAILED", "PilotState.CANCELED",
+    }
 
 
 def test_sm004_silent_when_defining_module_not_scanned(tmp_path):

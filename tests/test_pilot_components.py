@@ -204,8 +204,8 @@ class TestStaging:
             ]
         )
         done = []
-        stager.stage_in(unit, lambda: done.append(True))
-        assert done == [True]
+        stager.stage_in([unit], lambda units: done.append(units))
+        assert done == [[unit]]
         sandbox = Path(unit.sandbox)
         assert (sandbox / "linked.txt").is_symlink()
         assert (sandbox / "copied.txt").read_text() == "shared-data"
@@ -217,7 +217,7 @@ class TestStaging:
         unit.description.output_staging.append(
             StagingDirective(source="result.txt", target="$SHARED/collected.txt")
         )
-        stager.stage_out(unit, lambda: None)
+        stager.stage_out([unit], lambda units: None)
         assert (tmp_path / "collected.txt").read_text() == "out"
         session.close()
 
@@ -227,5 +227,5 @@ class TestStaging:
             StagingDirective(source="$SHARED/ghost.txt", target="x")
         )
         with pytest.raises(StagingError, match="does not exist"):
-            stager.stage_in(unit, lambda: None)
+            stager.stage_in([unit], lambda units: None)
         session.close()

@@ -256,6 +256,45 @@ class TestCriticalPath:
         assert totals["runtime"] == pytest.approx(3.0)     # 1..2 and 9..11
 
 
+    def test_representative_is_earliest_covering_span(self):
+        from repro.telemetry.analysis import _representative
+        from repro.telemetry.span import Span
+
+        # Sorted by start only: the uid tie-break is the function's job.
+        spans = [Span("b", "late", 0.0, 4.0), Span("a", "early", 0.0, 2.0),
+                 Span("d", "abutting", 2.0, 5.0), Span("c", "after", 5.0, 9.0)]
+        assert _representative(spans, 1.0, 3.0) == ("a", "early")
+        assert _representative(spans, 2.0, 3.0) == ("b", "late")
+        # Half-open intervals: touching at an end does not cover.
+        assert _representative(spans, 4.0, 5.0) == ("d", "abutting")
+        assert _representative(spans[:2] + spans[3:], 4.0, 5.0) == ("", "wait")
+        assert _representative(spans, 9.0, 10.0) == ("", "wait")
+        assert _representative(spans[3:], 1.0, 2.0) == ("", "wait")
+
+    def test_representative_is_earliest_start_then_lowest_uid(self):
+        events = [
+            {"time": 0.0, "name": "session_start", "uid": "s"},
+            {"time": 1.0, "name": "entk_pattern_start", "uid": "p"},
+        ]
+        for uid, start in (("u3", 3.0), ("u1", 5.0), ("u2", 3.0)):
+            events += [
+                {"time": 0.0, "name": "unit_new", "uid": uid, "pattern": "p"},
+                {"time": start, "name": "unit_state", "uid": uid,
+                 "state": "EXECUTING"},
+                {"time": 9.0, "name": "unit_state", "uid": uid,
+                 "state": "DONE"},
+            ]
+        events += [
+            {"time": 11.0, "name": "entk_pattern_stop", "uid": "p"},
+            {"time": 11.0, "name": "session_close", "uid": "s"},
+        ]
+        tree = SpanBuilder().add_events(events).build()
+        (execution,) = [seg for seg in critical_path(tree).segments
+                        if seg.component == "execution"]
+        assert (execution.t_start, execution.t_end) == (3.0, 9.0)
+        assert execution.span_uid == "unit:u2:0"
+
+
 class TestChromeExport:
     def test_document_structure(self):
         doc = chrome_trace(synthetic_trace())

@@ -7,9 +7,9 @@ Three layers under test:
 * :mod:`repro.telemetry.sink` — the spillable event sinks the profiler
   writes through, and the bounded (aggregate-only) metrics mode that
   rides with spooling;
-* ``Session(bulk_lifecycle=True)`` — batched submission and state
-  transitions, which must leave virtual time untouched relative to the
-  classic per-unit path.
+* ``Session(bulk_lifecycle=True)`` — coarse lifecycle batches, which
+  must leave virtual time untouched relative to the fine (one unit per
+  batch) cut, with and without fault injection.
 """
 
 import json
@@ -17,10 +17,11 @@ import json
 import pytest
 
 from repro.core.kernel_plugin import Kernel
-from repro.core.patterns import EnsembleOfPipelines
+from repro.core.patterns import BagOfTasks, EnsembleOfPipelines
 from repro.core.resource_handle import ResourceHandle
 from repro.exceptions import ConfigurationError, StateTransitionError
 from repro.pilot.description import ComputeUnitDescription
+from repro.pilot.retry import RetryPolicy
 from repro.pilot.session import Session
 from repro.pilot.states import UnitState
 from repro.pilot.unit import ComputeUnit
@@ -33,6 +34,14 @@ from repro.utils.ids import reset_id_counters
 def session():
     reset_id_counters()
     with Session(mode="sim", platform="xsede.comet") as s:
+        yield s
+
+
+@pytest.fixture
+def coarse_session():
+    reset_id_counters()
+    with Session(mode="sim", platform="xsede.comet",
+                 bulk_lifecycle=True) as s:
         yield s
 
 
@@ -172,7 +181,10 @@ class TestUnitStore:
             handle.deallocate()
         assert seen == [(u.uid, UnitState.DONE) for u in units]
 
-    def test_advance_many_emits_one_batch_event_per_group(self, session):
+    def test_advance_many_emits_one_batch_event_per_group(
+        self, coarse_session
+    ):
+        session = coarse_session
         store = session.unit_store
         rows = store.add_bulk([_desc() for _ in range(5)])
         units = [ComputeUnit._of(store, i) for i in rows]
@@ -190,7 +202,8 @@ class TestUnitStore:
         assert all(u.state is UnitState.UMGR_SCHEDULING for u in units)
         assert session.metrics.series("units.UMGR_SCHEDULING").last == 5
 
-    def test_advance_many_groups_by_current_state(self, session):
+    def test_advance_many_groups_by_current_state(self, coarse_session):
+        session = coarse_session
         store = session.unit_store
         rows = store.add_bulk([_desc() for _ in range(4)])
         units = [ComputeUnit._of(store, i) for i in rows]
@@ -206,12 +219,80 @@ class TestUnitStore:
         assert sorted(sizes) == [2, 2]
         assert all(u.state is UnitState.CANCELED for u in units)
 
-    def test_advance_many_validates_every_group(self, session):
-        store = session.unit_store
+    @pytest.mark.parametrize("coarse", [False, True], ids=["fine", "coarse"])
+    def test_advance_many_validates_each_unit(self, coarse):
+        reset_id_counters()
+        with Session(mode="sim", platform="xsede.comet",
+                     bulk_lifecycle=coarse) as session:
+            store = session.unit_store
+            units = [ComputeUnit._of(store, i)
+                     for i in store.add_bulk([_desc(), _desc()])]
+            store.advance_many(units[:1], UnitState.UMGR_SCHEDULING)
+            with pytest.raises(StateTransitionError):
+                store.advance_many(units, UnitState.AGENT_STAGING_INPUT)
+
+    def test_advance_many_validates_every_group(self, coarse_session):
+        store = coarse_session.unit_store
         rows = store.add_bulk([_desc()])
         units = [ComputeUnit._of(store, i) for i in rows]
         with pytest.raises(StateTransitionError):
             store.advance_many(units, UnitState.EXECUTING)
+
+    @staticmethod
+    def _records(target_many):
+        """The trace and callback log of two units taken through
+        UMGR_SCHEDULING and CANCELED by *target_many* (a fine store's
+        ``advance_many``) or, if ``None``, one ``advance`` at a time."""
+        reset_id_counters()
+        calls = []
+        with Session(mode="sim", platform="xsede.comet") as session:
+            store = session.unit_store
+            group = store.callback_group(
+                lambda u, s: calls.append(("group", u.uid, s))
+            )
+            units = [ComputeUnit._of(store, i)
+                     for i in store.add_bulk([_desc(), _desc()], group)]
+            units[1].add_callback(
+                lambda u, s: calls.append(("extra", u.uid, s))
+            )
+            before = len(session.prof)
+            for target in (UnitState.UMGR_SCHEDULING, UnitState.CANCELED):
+                if target_many:
+                    store.advance_many(units, target)
+                else:
+                    for unit in units:
+                        store.advance(unit, target)
+            events = [(ev.time, ev.name, ev.uid, ev.attrs)
+                      for ev in session.prof.events()[before:]]
+        return events, calls
+
+    def test_advance_many_fine_writes_advance_records_in_order(self):
+        """A fine store moves a batch one unit at a time: the same
+        ``unit_state`` records, gauge points and callbacks as a loop of
+        :meth:`UnitStore.advance`, interleaved per unit."""
+        events, calls = self._records(target_many=True)
+        assert (events, calls) == self._records(target_many=False)
+        assert [(name, uid) for _, name, uid, _ in events
+                if name != "metric"] == [
+            ("unit_state", "unit.000000"), ("unit_state", "unit.000001"),
+        ] * 2
+        assert calls[0] == ("extra", "unit.000001", UnitState.UMGR_SCHEDULING)
+
+    @pytest.mark.parametrize("coarse", [False, True], ids=["fine", "coarse"])
+    def test_batches_cut_by_granularity(self, coarse):
+        reset_id_counters()
+        with Session(mode="sim", platform="xsede.comet",
+                     bulk_lifecycle=coarse) as session:
+            store = session.unit_store
+            items = [3, 1, 3, 2, 1]
+            by_key = list(store.batches(items, key=lambda x: x))
+            whole = list(store.batches(items))
+            assert list(store.batches([])) == []
+        if coarse:
+            assert by_key == [[3, 3], [1, 1], [2]]
+            assert whole == [items]
+        else:
+            assert by_key == whole == [[x] for x in items]
 
 
 # -- sinks -------------------------------------------------------------------
@@ -387,10 +468,144 @@ class TestBulkLifecycle:
         with pytest.raises(ConfigurationError):
             Session(mode="local", bulk_lifecycle=True)
 
-    def test_bulk_rejects_fault_injection(self):
-        with pytest.raises(ConfigurationError):
-            Session(mode="sim", platform="xsede.comet",
-                    bulk_lifecycle=True, node_mtbf=120.0)
-        with pytest.raises(ConfigurationError):
-            Session(mode="sim", platform="xsede.comet",
-                    bulk_lifecycle=True, fault_rate=0.1)
+
+#: The golden-hash retry policy (tests/test_determinism.py).
+_RETRY = RetryPolicy(
+    max_attempts=8, backoff_base=2.0, backoff_factor=2.0,
+    backoff_cap=60.0, jitter=0.5, exclude_failed_nodes=False,
+)
+
+
+class SleepBag(BagOfTasks):
+    def task(self, instance):
+        return _sleep(100)
+
+
+class RetriedBag(SleepBag):
+    retry_policy = _RETRY
+
+
+def _digest(events):
+    import hashlib
+
+    from repro.telemetry.export import chrome_trace
+
+    payload = json.dumps(
+        chrome_trace(events), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+class TestBulkLifecycleFaults:
+    """Coarse batches under every fault model: deterministic, every unit
+    final, and no core or gauge left behind."""
+
+    RUNS = {
+        "node_mtbf": (
+            lambda: TwoStage(ensemble_size=48, pipeline_size=2), 7,
+            dict(node_mtbf=120.0, node_repair_time=120.0,
+                 retry_policy=_RETRY),
+            "unit_node_kill",
+        ),
+        "fault_rate": (
+            lambda: RetriedBag(size=64), 11,
+            dict(fault_rate=0.2, retry_policy=_RETRY),
+            "task_fault",
+        ),
+        "pilot_mtbf": (
+            lambda: TwoStage(ensemble_size=48, pipeline_size=2), 2,
+            dict(pilot_mtbf=30.0, max_pilot_resubmits=4, retry_policy=_RETRY),
+            "unit_pilot_kill",
+        ),
+    }
+
+    @staticmethod
+    def _run(make, seed, options, coarse=True, spool_dir=None):
+        reset_id_counters()
+        handle = ResourceHandle(
+            "xsede.comet", cores=32, walltime=600, mode="sim", seed=seed,
+            bulk_lifecycle=coarse, spool_dir=spool_dir, **options,
+        )
+        handle.allocate()
+        try:
+            handle.run(make())
+        finally:
+            handle.deallocate()
+        return handle
+
+    @pytest.mark.parametrize("spooled", [False, True],
+                             ids=["resident", "spooled"])
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_coarse_fault_run(self, run, spooled, tmp_path):
+        make, seed, options, fault_event = self.RUNS[run]
+        digests = []
+        for attempt in ("a", "b"):
+            spool_dir = tmp_path / attempt if spooled else None
+            handle = self._run(make, seed, options, spool_dir=spool_dir)
+            events = list(handle.profile)
+            digests.append(_digest(events))
+            if spooled:
+                with handle.session.spool_path.open() as stream:
+                    rows = [revive(json.loads(line)) for line in stream]
+                assert _digest(rows) == digests[-1]
+        assert digests[0] == digests[1]
+        names = {ev.name for ev in events}
+        assert {fault_event, "units_state"} <= names
+        if run != "fault_rate":
+            assert "unit_requeue" in names
+        assert all(u.state.is_final for u in handle.umgr.units)
+        agent = handle.pilot.agent
+        busy = handle.session.metrics.series(
+            f"agent.{handle.pilot.uid}.cores_busy"
+        )
+        assert busy.last == 0
+        assert agent.slots.used_cores == 0
+        assert agent.executing_units == 0
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_coarse_fault_run_matches_fine_virtual_time(self, run):
+        make, seed, options, _ = self.RUNS[run]
+        fine = self._run(make, seed, options, coarse=False)
+        coarse = self._run(make, seed, options)
+        assert coarse.session.now() == fine.session.now()
+
+    def test_kill_takes_one_unit_out_of_a_started_batch(self):
+        """A node dies mid-execution under a batch of 32 units spread over
+        both nodes: the units on it waste exactly the time since the
+        batch launched, and the rest finish at the batch's time."""
+        options = dict(retry_policy=_RETRY)
+        quiet = self._run(lambda: SleepBag(size=32), 1, options)
+        (launch,) = quiet.profile.events("units_slots")
+        finished = {ev.time for ev in quiet.profile.events("units_state")
+                    if ev.attrs["state"] == "AGENT_STAGING_OUTPUT"}
+        assert len(finished) == 1
+
+        kill_at = launch.time + 50.0
+        reset_id_counters()
+        handle = ResourceHandle(
+            "xsede.comet", cores=32, walltime=600, mode="sim", seed=1,
+            bulk_lifecycle=True, **options,
+        )
+        handle.allocate()
+        pattern = SleepBag(size=32)
+        handle.session.sim.schedule_at(
+            kill_at, lambda: handle.pilot.agent._on_node_failure(1)
+        )
+        try:
+            handle.run(pattern)
+        finally:
+            handle.deallocate()
+        kills = handle.profile.events("unit_node_kill")
+        assert len(kills) == 8  # 24-core nodes: cores 24..31 sit on node 1
+        assert {ev.attrs["wasted"] for ev in kills} == {kill_at - launch.time}
+        killed = {ev.uid for ev in kills}
+        survivors = [u for u in pattern.units if u.uid not in killed]
+        assert len(survivors) == 24
+        assert {u.timestamps["AGENT_STAGING_OUTPUT"] for u in survivors} \
+            == finished
+        busy = handle.session.metrics.series(
+            f"agent.{handle.pilot.uid}.cores_busy"
+        )
+        assert busy.value_at(kill_at) == 24
+        assert busy.last == 0
+        assert all(u.state is UnitState.DONE for u in pattern.units)
